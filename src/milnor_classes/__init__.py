@@ -37,7 +37,6 @@ from .strata import (
 )
 from .charclass import (
     ClassBundle3,
-    aluffi_dual,
     aluffi_milnor,
     aluffi_tensor,
     chi_of_closure,

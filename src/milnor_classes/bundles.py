@@ -9,7 +9,9 @@ must be a line bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
+from typing import Iterable
 
 from .chow import AmbientMismatchError, AmbientSpace, CycleClass, MultiProj, ProjSpace
 
@@ -27,21 +29,27 @@ class BundleClass:
             raise ValueError(f"negative rank: {self.rank}")
         if self.chern.ambient != self.ambient:
             raise AmbientMismatchError("Chern class lives on a different ambient")
-        if self.chern.component(0) != self.ambient.one():
+        if self._pieces[0] != self.ambient.one():
             raise ValueError("total Chern class must start with 1")
         for k in range(self.rank + 1, self.ambient.dimension + 1):
-            if not self.chern.component(k).is_zero():
+            if self._pieces[k]:
                 raise ValueError(
                     f"Chern class has a nonzero part in codimension {k} > rank {self.rank}")
 
+    @cached_property
+    def _pieces(self) -> list[CycleClass]:
+        return [part for _, part in self.chern.components()]
+
     def c(self, k: int) -> CycleClass:
         """The k-th Chern class; zero beyond the ambient dimension."""
+        if k < 0:
+            raise ValueError(f"negative Chern class index {k}")
         if k > self.ambient.dimension:
             return self.ambient.zero()
-        return self.chern.component(k)
+        return self._pieces[k]
 
     def c1(self) -> CycleClass:
-        return self.chern.component(1)
+        return self.c(1)
 
 
 def line_bundle(ambient: AmbientSpace, multidegree: int | tuple[int, ...] | list[int]) -> BundleClass:
@@ -79,10 +87,42 @@ def bundle_power(e: BundleClass, copies: int) -> BundleClass:
 
 def dual(e: BundleClass) -> BundleClass:
     """c_k(E^v) = (-1)^k c_k(E)."""
-    out = e.ambient.zero()
-    for k, part in e.chern.components():
-        out = out + (part if k % 2 == 0 else -part)
-    return BundleClass(e.ambient, e.rank, out)
+    return BundleClass(e.ambient, e.rank, e.chern.dual())
+
+
+def line_powers(ell: CycleClass, top: int) -> list[CycleClass]:
+    """[1, ell, ell^2, ..., ell^top]."""
+    powers = [ell.ambient.one()]
+    for _ in range(top):
+        powers.append(powers[-1] * ell)
+    return powers
+
+
+def line_polynomial(powers: list[CycleClass], coeffs: Iterable[int]) -> CycleClass:
+    """sum_j coeffs[j] ell^j over shared powers from line_powers."""
+    out: dict[tuple[int, ...], int] = {}
+    for cj, pj in zip(coeffs, powers):
+        if cj:
+            for m, c in pj.coeffs.items():
+                out[m] = out.get(m, 0) + cj * c
+    return CycleClass(powers[0].ambient, {m: c for m, c in out.items() if c})
+
+
+def twist_chern(chern: CycleClass, rank: int, ell: CycleClass) -> CycleClass:
+    """Binomial line twist of a raw total Chern class, without validation.
+
+    c(E (x) L) = sum_(i <= rank) c_i(E) (1 + ell)^(rank - i) with ell = c1(L):
+    the splitting-principle rule c_k = sum_i C(rank-i, k-i) c_i ell^(k-i).
+    Parts of chern above the rank do not enter.
+    """
+    top = min(rank, chern.ambient.dimension)  # ell^j c_i vanishes past the dimension
+    powers = line_powers(ell, top)
+    out = chern.ambient.zero()
+    for i, part in chern.components()[:rank + 1]:
+        if part:
+            series = line_polynomial(powers, (comb(rank - i, j) for j in range(top - i + 1)))
+            out = out + part * series
+    return out
 
 
 def tensor_line(e: BundleClass, l: BundleClass) -> BundleClass:
@@ -91,13 +131,7 @@ def tensor_line(e: BundleClass, l: BundleClass) -> BundleClass:
         raise ValueError(f"twist must be a line bundle, got rank {l.rank}")
     if e.ambient != l.ambient:
         raise AmbientMismatchError("tensor_line operands live on different ambients")
-    ell = l.c1()
-    out = e.ambient.zero()
-    for k in range(e.rank + 1):
-        for i in range(k + 1):
-            term = e.c(i) * (ell ** (k - i))
-            out = out + term.scale(comb(e.rank - i, k - i))
-    return BundleClass(e.ambient, e.rank, out)
+    return BundleClass(e.ambient, e.rank, twist_chern(e.chern, e.rank, l.c1()))
 
 
 def tangent_bundle(ambient: AmbientSpace) -> BundleClass:
@@ -109,7 +143,7 @@ def tangent_bundle(ambient: AmbientSpace) -> BundleClass:
     if not isinstance(ambient, (ProjSpace, MultiProj)):
         raise ValueError(
             f"tangent_bundle supports ProjSpace and MultiProj only, got {ambient!r}")
-    return BundleClass(ambient, ambient.dimension, ambient.tangent_chern())
+    return BundleClass(ambient, ambient.dimension, ambient.tangent_chern)
 
 
 def top_chern(e: BundleClass) -> CycleClass:

@@ -20,9 +20,18 @@ both frozen by the hypersurface calibration fixtures in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .chow import AmbientSpace, CycleClass, ProjSpace
-from .bundles import BundleClass, dual, tangent_bundle, tensor_line, top_chern
+from .bundles import (
+    BundleClass,
+    dual,
+    line_polynomial,
+    line_powers,
+    tangent_bundle,
+    tensor_line,
+    top_chern,
+)
 from .strata import StratifiedHypersurface, gamma_weights
 
 
@@ -79,27 +88,27 @@ def chi_of_closure(c: CycleClass) -> int:
 # -- Aluffi operations -------------------------------------------------------
 
 
-def aluffi_dual(a: CycleClass) -> CycleClass:
-    """Flip the sign of the odd-codimension components (ambient grading)."""
-    out = a.ambient.zero()
-    for k, part in a.components():
-        out = out + (part if k % 2 == 0 else -part)
-    return out
-
-
 def aluffi_tensor(a: CycleClass, l: BundleClass) -> CycleClass:
-    """sum_j a^(j) c(L)^(-j), the j-th piece twisted j times (ambient grading)."""
+    """sum_j a^(j) c(L)^(-j), the j-th piece twisted j times (ambient grading).
+
+    c(L)^(-j) = (1 + ell)^(-j) = sum_i (-1)^i C(j+i-1, i) ell^i, ell = c1(L).
+    """
     if l.rank != 1:
         raise ValueError("aluffi_tensor twists by a line bundle")
     if l.ambient != a.ambient:
         raise ValueError("class and line bundle live on different ambients")
-    inv = l.chern.inverse()
+    n = a.ambient.dimension
+    powers = line_powers(l.c1(), n)
     out = a.ambient.zero()
-    power = a.ambient.one()
-    for k, part in a.components():
-        if k > 0:
-            power = power * inv
-        out = out + part * power
+    for j, part in a.components():
+        if not part:
+            continue
+        if j == 0:
+            out = out + part
+            continue
+        series = line_polynomial(powers, ((-1) ** i * comb(j + i - 1, i)
+                                          for i in range(n - j + 1)))
+        out = out + part * series
     return out
 
 
@@ -143,7 +152,7 @@ def aluffi_milnor(hyp: StratifiedHypersurface, mu: CycleClass) -> CycleClass:
     one the calibration fixtures force and is frozen (n = dim M).
     """
     n = hyp.ambient.dimension
-    kernel = aluffi_tensor(aluffi_dual(mu), hyp.line_bundle)
+    kernel = aluffi_tensor(mu.dual(), hyp.line_bundle)
     result = hyp.line_bundle.chern ** (n - 1) * kernel
     return result.scale(-1 if n % 2 else 1)
 

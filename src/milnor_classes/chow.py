@@ -20,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from operator import add, le
+from typing import Iterable, Mapping
 
 
 class AmbientMismatchError(ValueError):
@@ -63,6 +64,11 @@ class AmbientSpace:
     def top_monomial(self) -> tuple[int, ...]:
         return tuple(g.cap for g in self.generators)
 
+    @cached_property
+    def _truncate_caps(self) -> tuple[float, ...]:
+        """Caps of the truncate generators; rewrite generators are unbounded."""
+        return tuple(float("inf") if g.rewrite else g.cap for g in self.generators)
+
     # -- class constructors -------------------------------------------------
 
     def zero(self) -> "CycleClass":
@@ -95,8 +101,9 @@ class AmbientSpace:
             self._reduce_term(tuple(mono), c, out)
         return CycleClass(self, {m: c for m, c in out.items() if c})
 
+    @cached_property
     def tangent_chern(self) -> "CycleClass":
-        """Total Chern class of the tangent bundle of this ambient."""
+        """Total Chern class of the tangent bundle, computed once per instance."""
         raise NotImplementedError
 
     # -- normal form --------------------------------------------------------
@@ -159,6 +166,7 @@ class ProjSpace(AmbientSpace):
     def generators(self) -> tuple[Generator, ...]:
         return (Generator("h", self.n),)
 
+    @cached_property
     def tangent_chern(self) -> "CycleClass":
         return (self.one() + self.gen(0)) ** (self.n + 1)
 
@@ -187,6 +195,7 @@ class MultiProj(AmbientSpace):
     def generators(self) -> tuple[Generator, ...]:
         return tuple(Generator(f"h{i + 1}", d) for i, d in enumerate(self.dims))
 
+    @cached_property
     def tangent_chern(self) -> "CycleClass":
         total = self.one()
         for i, d in enumerate(self.dims):
@@ -243,11 +252,11 @@ class ProjBundle(AmbientSpace):
         }
         zpos = len(self.generators) - 1
         rel: dict[tuple[int, ...], int] = {}
-        for i in range(1, min(self.rank, self.base.dimension) + 1):
+        for i, part in self.chern.components()[1:self.rank + 1]:
             sign = (-1) ** (i - 1)
             if i == 1:
                 sign *= self.relation_sign
-            for mono, c in self.chern.component(i).coeffs.items():
+            for mono, c in part.coeffs.items():
                 key = mono + (self.rank - i,)
                 rel[key] = rel.get(key, 0) + sign * c
         rels[zpos] = {m: c for m, c in rel.items() if c}
@@ -272,6 +281,7 @@ class ProjBundle(AmbientSpace):
                 out[mono[:-1]] = c
         return self.base.from_coeffs(out)
 
+    @cached_property
     def tangent_chern(self) -> "CycleClass":
         # c(TP(E^v)) = c(p*T_base) c(p*E^v (x) O(1)), from the relative
         # tangent sequence together with the twisted Euler sequence
@@ -280,7 +290,7 @@ class ProjBundle(AmbientSpace):
         e = BundleClass(self.base, self.rank, self.chern)
         e_pull = BundleClass(self, self.rank, self.pullback(dual(e).chern))
         o1 = BundleClass(self, 1, self.one() + self.zeta())
-        return self.pullback(self.base.tangent_chern()) * tensor_line(e_pull, o1).chern
+        return self.pullback(self.base.tangent_chern) * tensor_line(e_pull, o1).chern
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ProjBundle)
@@ -328,7 +338,8 @@ class CycleClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycleClass):
             return NotImplemented
-        return self.ambient == other.ambient and self.coeffs == other.coeffs
+        return ((self.ambient is other.ambient or self.ambient == other.ambient)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -342,7 +353,8 @@ class CycleClass:
         return not self.coeffs
 
     def _check_same(self, other: "CycleClass") -> None:
-        if self.ambient != other.ambient:
+        # identity first: ProjBundle equality recurses through the tower
+        if self.ambient is not other.ambient and self.ambient != other.ambient:
             raise AmbientMismatchError(
                 f"operands live on {self.ambient!r} and {other.ambient!r}")
 
@@ -381,12 +393,28 @@ class CycleClass:
         if isinstance(other, int):
             return self.scale(other)
         self._check_same(other)
+        ambient = self.ambient
+        caps = ambient.top_monomial
+        truncate_caps = ambient._truncate_caps
+        dim = ambient.dimension
         out: dict[tuple[int, ...], int] = {}
-        reduce_term = self.ambient._reduce_term
+        get = out.get
+        # every ring is graded with top codimension dim, so a pair whose
+        # codimensions add past it is zero; exponents only grow under
+        # reduction, so a truncate generator over its cap kills the term
+        # whatever the rewrite generators do
+        right = sorted((sum(m), m, c) for m, c in other.coeffs.items())
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                reduce_term(tuple(a + b for a, b in zip(m1, m2)), c1 * c2, out)
-        return CycleClass(self.ambient, {m: c for m, c in out.items() if c})
+            room = dim - sum(m1)
+            for d2, m2, c2 in right:
+                if d2 > room:
+                    break
+                m = tuple(map(add, m1, m2))
+                if all(map(le, m, caps)):
+                    out[m] = get(m, 0) + c1 * c2
+                elif all(map(le, m, truncate_caps)):
+                    ambient._reduce_term(m, c1 * c2, out)
+        return CycleClass(ambient, {m: c for m, c in out.items() if c})
 
     def __pow__(self, k: int) -> "CycleClass":
         if k < 0:
@@ -396,28 +424,40 @@ class CycleClass:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def inverse(self) -> "CycleClass":
         """Multiplicative inverse, defined when the degree-0 part is +-1.
 
-        Computed as the geometric series of the positive-codimension part,
-        which is nilpotent in the truncated ring; exact over the integers.
+        Graded recursion on the homogeneous pieces a_j: with u = a_0,
+        b_0 = u and b_k = -u (a_1 b_(k-1) + ... + a_k b_0).  Every supported
+        ring is graded (the z-relation is homogeneous), so b_k is the
+        codimension-k piece of the inverse; exact over the integers.
         """
-        unit = self.coeffs.get((0,) * len(self.ambient.generators), 0)
+        ambient = self.ambient
+        unit = self.coeffs.get((0,) * len(ambient.generators), 0)
         if unit not in (1, -1):
             raise ValueError(f"degree-0 part {unit} is not a unit; cannot invert")
-        higher = self - self.ambient.from_int(unit)
-        result = self.ambient.one()
-        power = self.ambient.one()
-        for _ in range(self.ambient.dimension):
-            power = power * higher.scale(-unit)
-            if power.is_zero():
-                break
-            result = result + power
-        return result.scale(unit)
+        pieces = [part for _, part in self.components()]
+        terms = [ambient.from_int(unit)]
+        for k in range(1, ambient.dimension + 1):
+            acc = ambient.zero()
+            for j in range(1, k + 1):
+                if pieces[j] and terms[k - j]:
+                    acc = acc + pieces[j] * terms[k - j]
+            terms.append(acc.scale(-unit))
+        out: dict[tuple[int, ...], int] = {}
+        for t in terms:
+            out.update(t.coeffs)  # pieces of distinct codimension never overlap
+        return CycleClass(ambient, out)
+
+    def dual(self) -> "CycleClass":
+        """c^v: flip the sign of every odd-codimension term (ambient grading)."""
+        return CycleClass(self.ambient, {m: -c if sum(m) % 2 else c
+                                         for m, c in self.coeffs.items()})
 
     # -- grading --------------------------------------------------------------
 
@@ -430,9 +470,13 @@ class CycleClass:
             self.ambient,
             {m: c for m, c in self.coeffs.items() if sum(m) == codim})
 
-    def components(self) -> Iterator[tuple[int, "CycleClass"]]:
-        for k in range(self.ambient.dimension + 1):
-            yield k, self.component(k)
+    def components(self) -> list[tuple[int, "CycleClass"]]:
+        """Every homogeneous piece (codim, class), codim 0..dimension, in one pass."""
+        buckets: list[dict[tuple[int, ...], int]] = [
+            {} for _ in range(self.ambient.dimension + 1)]
+        for m, c in self.coeffs.items():
+            buckets[sum(m)][m] = c
+        return [(k, CycleClass(self.ambient, b)) for k, b in enumerate(buckets)]
 
     def degree(self) -> int:
         """Integral over the ambient: the coefficient of the point class."""
@@ -476,6 +520,8 @@ def parse_class(ambient: AmbientSpace, text: str) -> CycleClass:
     """Parse the canonical rendering back into a CycleClass.
 
     Accepts any term order and signs glued or spaced; inverse of render().
+    A truncate-generator exponent above its cap is rejected rather than
+    read as zero; rewrite generators (z) are reduced by their relation.
     """
     s = text.strip()
     if s in ("0", ""):
@@ -508,6 +554,11 @@ def parse_class(ambient: AmbientSpace, text: str) -> CycleClass:
                 raise ValueError(
                     f"unknown generator {name!r}; ambient has {list(names)}")
             expo[names[name]] += exp
+        for g, e in zip(ambient.generators, expo):
+            if e > g.cap and not g.rewrite:
+                raise ValueError(
+                    f"term {chunk!r} has {g.name}^{e}, above the top power "
+                    f"{g.name}^{g.cap} of this ambient")
         key = tuple(expo)
         raw[key] = raw.get(key, 0) + sign * coeff
     return ambient.from_coeffs(raw)

@@ -113,12 +113,7 @@ def milnor_to_le(milnor: dict[int, CycleClass], l: BundleClass,
 def milnor_pieces(total: CycleClass) -> dict[int, CycleClass]:
     """Split a total (inhomogeneous) Milnor class into its dimension pieces."""
     n = total.ambient.dimension
-    out = {}
-    for codim in range(n + 1):
-        part = total.component(codim)
-        if not part.is_zero():
-            out[n - codim] = part
-    return out
+    return {n - codim: part for codim, part in total.components() if part}
 
 
 def milnor_from_le_intersection(hyps_le: list[tuple["LeCycles", BundleClass]],

@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .chow import AmbientSpace, CycleClass, MultiProj, ProjSpace, parse_class
 from .bundles import BundleClass, direct_sum, line_bundle, trivial_bundle
@@ -319,9 +319,9 @@ def _hyp_class_triple(spec: HypersurfaceSpec) -> ClassBundle3:
     return ClassBundle3(virt=virt, csm=csm, milnor=milnor, codim=1)
 
 
-def _hypersurface_section(spec: HypersurfaceSpec, formulas: set[str]) -> ReportSection:
+def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3, formulas: set[str],
+                          fieldpath: str) -> ReportSection:
     sec = ReportSection(kind="hypersurface", title=f"hypersurface {spec.name}")
-    cb = _hyp_class_triple(spec)
     sec.results["virt"] = cb.virt.render()
     sec.results["csm"] = cb.csm.render()
     sec.results["milnor"] = cb.milnor.render()
@@ -352,8 +352,8 @@ def _hypersurface_section(spec: HypersurfaceSpec, formulas: set[str]) -> ReportS
         elif key == "chi":
             sec.verdicts[f"expected-{key}"] = int(got) == int(want)
         else:
-            sec.verdicts[f"expected-{key}"] = (
-                parse_class(ambient, got) == parse_class(ambient, str(want)))
+            sec.verdicts[f"expected-{key}"] = (parse_class(ambient, got) == _parse_class(
+                ambient, str(want), f"{fieldpath}.expected.{key}"))
     return sec
 
 
@@ -365,7 +365,8 @@ def _le_total(spec: HypersurfaceSpec) -> CycleClass:
     return total
 
 
-def _intersection_section(sc: Scenario, formulas: set[str]) -> ReportSection:
+def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], ClassBundle3],
+                          formulas: set[str]) -> ReportSection:
     block = sc.intersection
     names = block["hypersurfaces"]
     by_name = {s.name: s for s in sc.hypersurfaces}
@@ -384,7 +385,7 @@ def _intersection_section(sc: Scenario, formulas: set[str]) -> ReportSection:
                          closure_class=spec.line_bundle.c1()),)))
         else:
             hyps.append(spec.hyp)
-        triples.append(_hyp_class_triple(spec))
+        triples.append(triple(spec))
     scenario_obj = IntersectionScenario(sc.ambient, tuple(hyps), tuple(triples))
     wanted = tuple(f for f in INTERSECTION_FORMULAS
                    if not formulas or f in formulas
@@ -392,7 +393,7 @@ def _intersection_section(sc: Scenario, formulas: set[str]) -> ReportSection:
     expected = None
     exp_block = block.get("expected", {})
     if "milnor" in exp_block:
-        expected = parse_class(sc.ambient, exp_block["milnor"])
+        expected = _parse_class(sc.ambient, exp_block["milnor"], "intersection.expected.milnor")
     strata_ok = all(s.hyp is not None for s in chosen)
     if not strata_ok:
         wanted = tuple(f for f in wanted if not f.startswith("pp_"))
@@ -406,8 +407,8 @@ def _intersection_section(sc: Scenario, formulas: set[str]) -> ReportSection:
     support = block.get("support")
     if support is not None and cv.results:
         allowed = set()
-        for text in support:
-            allowed.update(parse_class(sc.ambient, text).coeffs)
+        for j, text in enumerate(support):
+            allowed.update(_parse_class(sc.ambient, text, f"intersection.support[{j}]").coeffs)
         observed = set(cv.results[0].value.coeffs)
         sec.verdicts["support"] = observed <= allowed
     return sec
@@ -447,6 +448,15 @@ def run_compute(sc: Scenario, formulas: set[str] | None = None,
     formulas = formulas or set()
     report = ScenarioReport(name=sc.name)
     tasks = sc.tasks or _default_tasks(sc)
+    triples: dict[str, ClassBundle3] = {}
+
+    def triple(spec: HypersurfaceSpec) -> ClassBundle3:
+        # each hypersurface's classes are built once per run, whichever
+        # sections ask for them
+        if spec.name not in triples:
+            triples[spec.name] = _hyp_class_triple(spec)
+        return triples[spec.name]
+
     for task in tasks:
         if "report" in task:
             continue  # both renderings are always produced
@@ -454,18 +464,19 @@ def run_compute(sc: Scenario, formulas: set[str] | None = None,
             # agreement verification is the intersection cross-check
             if sc.intersection is None:
                 raise ScenarioError("tasks", "nothing to verify: no intersection block")
-            report.sections.append(_intersection_section(sc, formulas))
+            report.sections.append(_intersection_section(sc, triple, formulas))
             continue
         if "compute" not in task:
             raise ScenarioError("tasks", f"unknown task directive {task!r}")
         target = task["compute"]
         if target == "hypersurfaces":
-            for spec in sc.hypersurfaces:
-                report.sections.append(_hypersurface_section(spec, formulas))
+            for i, spec in enumerate(sc.hypersurfaces):
+                report.sections.append(_hypersurface_section(
+                    spec, triple(spec), formulas, f"hypersurfaces[{i}]"))
         elif target == "intersection":
             if sc.intersection is None:
                 raise ScenarioError("tasks", "no intersection block to compute")
-            report.sections.append(_intersection_section(sc, formulas))
+            report.sections.append(_intersection_section(sc, triple, formulas))
         elif target == "general_case":
             if sc.general_case is None:
                 raise ScenarioError("tasks", "no general_case block to compute")

@@ -12,7 +12,6 @@ import pytest
 from milnor_classes.chow import ProjSpace
 from milnor_classes.bundles import direct_sum, line_bundle, top_chern
 from milnor_classes.charclass import (
-    aluffi_dual,
     aluffi_milnor,
     aluffi_tensor,
     chi_of_closure,
@@ -170,11 +169,11 @@ class TestAluffiOperations:
     def test_dual_flips_odd(self):
         h = P2.gen(0)
         a = h.scale(3) + h * h
-        assert aluffi_dual(a) == -h.scale(3) + h * h
-        assert aluffi_dual(aluffi_dual(a)) == a
+        assert a.dual() == -h.scale(3) + h * h
+        assert a.dual().dual() == a
 
     def test_dual_top_of_p3(self):
-        assert aluffi_dual(P3.point_class()) == -P3.point_class()
+        assert P3.point_class().dual() == -P3.point_class()
 
     def test_tensor_trivial(self):
         h = P2.gen(0)

@@ -223,6 +223,13 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse_class(P2, "h1 + 1")
 
+    def test_parse_rejects_exponent_above_cap(self):
+        # h^3 = 0 on P^2, so reading it as zero would hide a typo
+        with pytest.raises(ValueError, match="h\\^3"):
+            parse_class(P2, "h^3 + h")
+        with pytest.raises(ValueError, match="h1\\^2"):
+            parse_class(P1xP1, "h1*h1*h2")
+
     def test_parse_multiproj(self):
         a = parse_class(P1xP1, "2*h1*h2 - h1 + 1")
         assert a.coeffs == {(1, 1): 2, (1, 0): -1, (0, 0): 1}

@@ -1,0 +1,278 @@
+"""The graded ring kernels: multiply, inverse, grading, dual and line twists.
+
+Two kinds of checks run on every supported ring shape: P^n, a product of
+projective spaces, a one-level and a two-level projective bundle, and the
+relation_sign = -1 negative-control ring.
+
+* An external oracle (sympy, skipped when absent): the normal form of a
+  product is the remainder modulo a Groebner basis of the defining ideal,
+  (h^(n+1), z^r - c1 z^(r-1) + c2 z^(r-2) - ...), built here from the
+  definition of each ring rather than from its reduction code.
+* Properties against slow references kept in this file: the
+  geometric-series inverse, the double-loop binomial twist and the
+  power-by-power Aluffi twist.
+"""
+
+import random
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from milnor_classes.bundles import (
+    BundleClass,
+    direct_sum,
+    line_bundle,
+    tensor_line,
+    trivial_bundle,
+    twist_chern,
+)
+from milnor_classes.charclass import aluffi_tensor
+from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
+
+
+def _split(base, degrees):
+    e = trivial_bundle(base, 0)
+    for d in degrees:
+        e = direct_sum(e, line_bundle(base, d))
+    return e
+
+
+def _rings():
+    p2 = ProjSpace(2)
+    e = _split(p2, [1, 2, -1])
+    level1 = ProjBundle(ProjSpace(1), 2, _split(ProjSpace(1), [1, 3]).chern)
+    h, z = level1.gen(0), level1.zeta()
+    chern2 = (level1.one() + h + z) * (level1.one() + h.scale(2) - z)
+    return {
+        "P4": ProjSpace(4),
+        "P2xP1xP1": MultiProj((2, 1, 1)),
+        "bundle": ProjBundle(p2, 3, e.chern),
+        "tower": ProjBundle(level1, 2, chern2),
+        "corrupted": ProjBundle(p2, 3, e.chern, relation_sign=-1),
+    }
+
+
+RINGS = _rings()
+
+
+def random_class(rng_draw, ambient, unit=None):
+    caps = [g.cap for g in ambient.generators]
+    coeffs = {}
+    for _ in range(rng_draw(st.integers(0, 6))):
+        mono = tuple(rng_draw(st.integers(0, cap)) for cap in caps)
+        coeffs[mono] = rng_draw(st.integers(-7, 7))
+    if unit is not None:
+        coeffs[(0,) * len(caps)] = unit
+    return ambient.from_coeffs(coeffs)
+
+
+@st.composite
+def ring_and_unit_class(draw):
+    ambient = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    return random_class(draw, ambient, unit=draw(st.sampled_from([1, -1])))
+
+
+@st.composite
+def ring_and_classes(draw):
+    ambient = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    return random_class(draw, ambient), random_class(draw, ambient)
+
+
+# -- references kept beside the kernels they check -------------------------------
+
+
+def geometric_inverse(a):
+    """u sum_k (-u (a - u))^k: the geometric series of the nilpotent part."""
+    ambient = a.ambient
+    unit = a.coeffs.get((0,) * len(ambient.generators), 0)
+    higher = a - ambient.from_int(unit)
+    result = power = ambient.one()
+    for _ in range(ambient.dimension):
+        power = power * higher.scale(-unit)
+        result = result + power
+    return result.scale(unit)
+
+
+def double_loop_twist(chern, rank, ell):
+    """c_k = sum_i C(rank-i, k-i) c_i ell^(k-i), one power per term."""
+    ambient = chern.ambient
+    out = ambient.zero()
+    for k in range(rank + 1):
+        for i in range(min(k, ambient.dimension) + 1):
+            out = out + (chern.component(i) * ell ** (k - i)).scale(comb(rank - i, k - i))
+    return out
+
+
+def power_by_power_aluffi(a, l):
+    """sum_j a^(j) (c(L)^(-1))^j with the inverse multiplied in j times."""
+    inv = l.chern.inverse()
+    out = a.ambient.zero()
+    power = a.ambient.one()
+    for j in range(a.ambient.dimension + 1):
+        if j:
+            power = power * inv
+        out = out + a.component(j) * power
+    return out
+
+
+# -- properties ----------------------------------------------------------------
+
+
+class TestGradedKernels:
+    @given(ring_and_unit_class())
+    @settings(max_examples=120, deadline=None)
+    def test_inverse_is_two_sided(self, a):
+        one = a.ambient.one()
+        inv = a.inverse()
+        assert a * inv == one
+        assert inv * a == one
+
+    @given(ring_and_unit_class())
+    @settings(max_examples=120, deadline=None)
+    def test_inverse_equals_geometric_series(self, a):
+        assert a.inverse() == geometric_inverse(a)
+
+    @given(ring_and_classes())
+    @settings(max_examples=120, deadline=None)
+    def test_components_sum_back(self, pair):
+        a, _ = pair
+        pieces = a.components()
+        assert [k for k, _ in pieces] == list(range(a.ambient.dimension + 1))
+        total = a.ambient.zero()
+        for k, part in pieces:
+            assert part == a.component(k)
+            total = total + part
+        assert total == a
+
+    @given(ring_and_classes())
+    @settings(max_examples=120, deadline=None)
+    def test_dual_is_a_graded_ring_automorphism(self, pair):
+        a, b = pair
+        assert a.dual().dual() == a
+        assert (a * b).dual() == a.dual() * b.dual()
+        for k, part in a.dual().components():
+            assert part == a.component(k).scale(-1 if k % 2 else 1)
+
+    @given(ring_and_classes(), st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_twist_matches_double_loop(self, pair, rank):
+        a, b = pair
+        # raw data: the twist takes any class, valid Chern class or not
+        ell = b.components()[1][1]
+        assert twist_chern(a, rank, ell) == double_loop_twist(a, rank, ell)
+
+    @given(ring_and_classes(), st.integers(-3, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_aluffi_tensor_matches_power_by_power(self, pair, d):
+        a, b = pair
+        ambient = a.ambient
+        ell = b.components()[1][1] + ambient.gen(0).scale(d)
+        l = BundleClass(ambient, 1, ambient.one() + ell)
+        assert aluffi_tensor(a, l) == power_by_power_aluffi(a, l)
+
+    def test_tensor_line_is_the_validated_twist(self):
+        p2 = ProjSpace(2)
+        e = _split(p2, [1, 2])
+        assert tensor_line(e, line_bundle(p2, 1)).chern == twist_chern(
+            e.chern, 2, p2.gen(0))
+
+
+# -- external oracle -------------------------------------------------------------
+
+
+def _symbols_and_ideal(sympy, ambient):
+    """sympy generators (outermost bundle level first) and the defining ideal."""
+    if isinstance(ambient, ProjBundle):
+        inner, ideal = _symbols_and_ideal(sympy, ambient.base)
+        z = sympy.Symbol(ambient.gen_names[-1])
+        r = ambient.rank
+        rel = z ** r
+        for i in range(1, r + 1):
+            c_i = sum((c * _monomial(inner, m) for m, c in ambient.chern.coeffs.items()
+                       if sum(m) == i), sympy.Integer(0))
+            sign = (-1) ** i * (ambient.relation_sign if i == 1 else 1)
+            rel += sign * c_i * z ** (r - i)
+        return [z] + inner, ideal + [sympy.expand(rel)]
+    syms = [sympy.Symbol(g.name) for g in reversed(ambient.generators)]
+    caps = [g.cap for g in reversed(ambient.generators)]
+    return syms, [s ** (cap + 1) for s, cap in zip(syms, caps)]
+
+
+def _monomial(syms, mono):
+    # syms run outermost first, monomials innermost first
+    out = 1
+    for s, e in zip(reversed(syms), mono):
+        out *= s ** e
+    return out
+
+
+class _Oracle:
+    def __init__(self, sympy, ambient):
+        self.sympy = sympy
+        self.ambient = ambient
+        self.syms, ideal = _symbols_and_ideal(sympy, ambient)
+        self.basis = sympy.groebner(ideal, *self.syms, order="lex")
+
+    def poly(self, a):
+        return sum((c * _monomial(self.syms, m) for m, c in a.coeffs.items()),
+                   self.sympy.Integer(0))
+
+    def normal_form(self, expr):
+        return self.sympy.expand(self.basis.reduce(self.sympy.expand(expr))[1])
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@pytest.fixture(scope="module", params=sorted(RINGS))
+def oracle(request, sympy):
+    return _Oracle(sympy, RINGS[request.param])
+
+
+def _sample(rng, ambient, unit=None, terms=5):
+    caps = [g.cap for g in ambient.generators]
+    coeffs = {tuple(rng.randint(0, cap) for cap in caps): rng.randint(-9, 9)
+              for _ in range(terms)}
+    if unit is not None:
+        coeffs[(0,) * len(caps)] = unit
+    return ambient.from_coeffs(coeffs)
+
+
+class TestSympyOracle:
+    def test_multiply(self, oracle):
+        rng = random.Random(11)
+        for _ in range(12):
+            a, b = _sample(rng, oracle.ambient), _sample(rng, oracle.ambient)
+            want = oracle.normal_form(oracle.poly(a) * oracle.poly(b))
+            assert oracle.sympy.expand(oracle.poly(a * b) - want) == 0
+
+    def test_inverse(self, oracle):
+        rng = random.Random(12)
+        for _ in range(8):
+            a = _sample(rng, oracle.ambient, unit=rng.choice([1, -1]))
+            product = oracle.normal_form(oracle.poly(a) * oracle.poly(a.inverse()))
+            assert product == 1
+
+    def test_relation_reduction(self, oracle):
+        # every monomial up to twice the caps, reduced through from_coeffs
+        ambient = oracle.ambient
+        rng = random.Random(13)
+        caps = [g.cap for g in ambient.generators]
+        for _ in range(25):
+            mono = tuple(rng.randint(0, 2 * cap + 1) for cap in caps)
+            got = ambient.from_coeffs({mono: 1})
+            want = oracle.normal_form(_monomial(oracle.syms, mono))
+            assert oracle.sympy.expand(oracle.poly(got) - want) == 0
+
+    @pytest.mark.parametrize("name", ["bundle", "corrupted", "tower"])
+    def test_parse_reduces_rewrite_generators(self, sympy, name):
+        oracle = _Oracle(sympy, RINGS[name])
+        ambient = oracle.ambient
+        z = ambient.gen_names[-1]
+        got = parse_class(ambient, f"{z}^{ambient.rank + 1}")
+        mono = (0,) * (len(ambient.generators) - 1) + (ambient.rank + 1,)
+        want = oracle.normal_form(_monomial(oracle.syms, mono))
+        assert oracle.sympy.expand(oracle.poly(got) - want) == 0

@@ -220,6 +220,25 @@ class TestCli:
         assert "ghost" in result.stderr
         assert "strata[1]" in result.stderr
 
+    def test_expected_above_cap_exit_2(self, tmp_path):
+        # "h^7" on P^2 used to be read as 0 and PASS against a zero class
+        data = minimal_scenario()
+        data["hypersurfaces"][0]["expected"] = {"milnor": "h^7"}
+        path = tmp_path / "above_cap.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("compute", str(path), expect=2)
+        assert "hypersurfaces[0].expected.milnor" in result.stderr
+        assert "h^7" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_intersection_expected_above_cap_exit_2(self, tmp_path):
+        data = load_fixture("two_planes_cap_plane_p3")
+        data["intersection"]["expected"]["milnor"] = "h^4"
+        path = tmp_path / "above_cap.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("compute", str(path), expect=2)
+        assert "intersection.expected.milnor" in result.stderr
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
