@@ -39,7 +39,6 @@ from .charclass import (
     ClassBundle3,
     aluffi_milnor,
     aluffi_tensor,
-    chi_of_closure,
     csm_from_milnor,
     hypersurface_classes,
     milnor_pp,

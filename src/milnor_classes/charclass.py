@@ -80,11 +80,6 @@ def csm_from_milnor(virt: CycleClass, milnor: CycleClass,
     return virt - milnor.scale(sign)
 
 
-def chi_of_closure(c: CycleClass) -> int:
-    """Degree-zero piece of a CSM class is the Euler characteristic."""
-    return c.degree()
-
-
 # -- Aluffi operations -------------------------------------------------------
 
 
@@ -160,21 +155,24 @@ def aluffi_milnor(hyp: StratifiedHypersurface, mu: CycleClass) -> CycleClass:
 # -- assembly ----------------------------------------------------------------
 
 
+def class_triple(l: BundleClass, milnor: CycleClass,
+                 csm_oracle: CycleClass | None = None) -> ClassBundle3:
+    """Class triple of a hypersurface of the line bundle L with Milnor class M.
+
+    The CSM class comes from the definition, unless an explicit CSM oracle
+    is supplied (used by fixtures to cross-check, and by negative controls
+    to detect corrupted strata data instead of staying self-consistent).
+    """
+    ambient = l.ambient
+    virt = virtual_class(ambient, l, l.c1())
+    if csm_oracle is not None:
+        csm = csm_oracle
+    else:
+        csm = csm_from_milnor(virt, milnor, ambient.dimension, 1)
+    return ClassBundle3(virt=virt, csm=csm, milnor=milnor, codim=1)
+
+
 def hypersurface_classes(hyp: StratifiedHypersurface,
                          csm_override: CycleClass | None = None) -> ClassBundle3:
-    """Compute the class triple of a stratified hypersurface.
-
-    The Milnor class comes from the weighted-strata sum and the CSM class
-    from the definition, unless an explicit CSM oracle is supplied (used by
-    fixtures to cross-check, and by negative controls to detect corrupted
-    strata data).
-    """
-    x_class = hyp.hypersurface_class
-    virt = virtual_class(hyp.ambient, hyp.line_bundle, x_class)
-    milnor = milnor_pp(hyp)
-    n = hyp.ambient.dimension
-    if csm_override is not None:
-        csm = csm_override
-    else:
-        csm = csm_from_milnor(virt, milnor, n, 1)
-    return ClassBundle3(virt=virt, csm=csm, milnor=milnor, codim=1)
+    """Class triple of a stratified hypersurface, Milnor class by strata."""
+    return class_triple(hyp.line_bundle, milnor_pp(hyp), csm_override)

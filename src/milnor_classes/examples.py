@@ -1,11 +1,12 @@
 """Builtin oracle fixtures with frozen expected values.
 
-Every fixture records how its expected values were obtained, so a failing
-test points at a checkable argument rather than a bare number.  The same
-dictionaries are shipped as scenario files under fixtures/ for use with
-the compute subcommand.
+The fixtures are the scenario files in the package's fixtures/ directory,
+the one copy of them; the compute subcommand reads the same files.  Every
+fixture records how its expected values were obtained (its "derivation"
+text), so a failing test points at a checkable argument rather than a
+bare number.
 
-Euler characteristics used below:
+Euler characteristics the derivations use:
   smooth plane curve of degree d:  3d - d^2
   smooth surface of degree d in P^3:  d^3 - 4d^2 + 6d
   plane-curve singularity with Milnor number mu:  chi(fibre) = 1 - mu
@@ -17,6 +18,8 @@ import json
 from pathlib import Path
 
 from .scenario import Scenario, ScenarioReport, parse_scenario, run_compute
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 def k_nodal_curve(d: int, k: int) -> dict:
@@ -51,282 +54,15 @@ def k_nodal_curve(d: int, k: int) -> dict:
     return fixture
 
 
-FIXTURES: dict[str, dict] = {}
-
-
-def _register(fixture: dict) -> dict:
-    FIXTURES[fixture["name"]] = fixture
-    return fixture
-
-
-_register({
-    "name": "nodal_cubic_p2",
-    "derivation": (
-        "One node, chi(Milnor fibre) = 0 (mu = 1).  Virtual class "
-        "(1+h)^3 (1+3h)^(-1) 3h = 3h, degree 0 = chi of a smooth cubic (a "
-        "torus).  chi(X) = 1: the normalization P^1 has chi 2 and the node "
-        "glues two points into one.  So c^SM = 3h + h^2 and the definition "
-        "gives M = (-1)^1 (3h - (3h + h^2)) = h^2, one point per node.  The "
-        "singular scheme is one reduced point, Segre class [pt]."),
-    "ambient": {"kind": "proj", "n": 2},
-    "hypersurfaces": [{
-        "name": "cubic",
-        "multidegree": [3],
-        "strata": [
-            {"name": "reg", "dim": 1, "milnor_fiber_chi": 1, "contained_in": []},
-            {"name": "node", "dim": 0, "milnor_fiber_chi": 0,
-             "contained_in": ["reg"], "closure": "point"},
-        ],
-        "sing_segre": {"center": "points", "arg": 1},
-        "oracle": {"csm": "h^2 + 3*h", "chi": 1},
-        "expected": {"milnor": "h^2", "virt": "3*h", "csm": "h^2 + 3*h", "chi": 1},
-    }],
-})
-
-_register({
-    "name": "cuspidal_cubic_p2",
-    "derivation": (
-        "One cusp, mu = 2, so chi(Milnor fibre) = 1 - 2 = -1 and the local "
-        "weight is (-1)^1 (-1 - 1) = 2.  chi(X) = 2: the curve is the "
-        "homeomorphic image of P^1 under a unibranch map.  M = 2 h^2.  The "
-        "singular scheme is cut out by a regular sequence of length two, so "
-        "its Segre class is 2 [pt]."),
-    "ambient": {"kind": "proj", "n": 2},
-    "hypersurfaces": [{
-        "name": "cubic",
-        "multidegree": [3],
-        "strata": [
-            {"name": "reg", "dim": 1, "milnor_fiber_chi": 1, "contained_in": []},
-            {"name": "cusp", "dim": 0, "milnor_fiber_chi": -1,
-             "contained_in": ["reg"], "closure": "point"},
-        ],
-        "sing_segre": {"center": "points", "arg": 2},
-        "oracle": {"csm": "2*h^2 + 3*h", "chi": 2},
-        "expected": {"milnor": "2*h^2", "csm": "2*h^2 + 3*h", "chi": 2},
-    }],
-})
-
-_register({
-    "name": "quadric_cone_p3",
-    "derivation": (
-        "Cone over a conic, one A1 vertex: the Milnor fibre is homotopic to "
-        "S^2, chi = 2, weight (-1)^2 (2 - 1) = 1.  Virtual class "
-        "(1+h)^4 (1+2h)^(-1) 2h = 2h + 4h^2 + 4h^3, degree 4 = chi of a "
-        "smooth quadric (P^1 x P^1).  chi(cone) = 3 (an A^1-bundle over the "
-        "conic plus the vertex), so M = h^3 and c^SM = 2h + 4h^2 + 3h^3."),
-    "ambient": {"kind": "proj", "n": 3},
-    "hypersurfaces": [{
-        "name": "cone",
-        "multidegree": [2],
-        "strata": [
-            {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-            {"name": "vertex", "dim": 0, "milnor_fiber_chi": 2,
-             "contained_in": ["reg"], "closure": "point"},
-        ],
-        "sing_segre": {"center": "points", "arg": 1},
-        "oracle": {"csm": "3*h^3 + 4*h^2 + 2*h", "chi": 3},
-        "expected": {"milnor": "h^3", "virt": "4*h^3 + 4*h^2 + 2*h",
-                     "csm": "3*h^3 + 4*h^2 + 2*h", "chi": 3},
-    }],
-})
-
-_register({
-    "name": "two_planes_p3",
-    "derivation": (
-        "Union of two planes, singular along the intersection line; the "
-        "transverse Milnor fibre {xy = 1} is a copy of C^*, chi = 0, so the "
-        "line weighs (-1)^2 (0 - 1) = -1.  Inclusion-exclusion gives "
-        "chi(X) = 3 + 3 - 2 = 4 and c^SM = 2 (h + 3h^2 + 3h^3) - "
-        "(h^2 + 2h^3) = 2h + 5h^2 + 4h^3; with c^Vir = 2h + 4h^2 + 4h^3 the "
-        "definition gives M = -h^2, matching gamma = -1 against "
-        "c(O(2))^(-1) (h^2 + 2h^3) = h^2.  The singular scheme is the "
-        "reduced line, Segre class h^2 - 2h^3."),
-    "ambient": {"kind": "proj", "n": 3},
-    "hypersurfaces": [{
-        "name": "two_planes",
-        "multidegree": [2],
-        "strata": [
-            {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-            {"name": "line", "dim": 1, "milnor_fiber_chi": 0,
-             "contained_in": ["reg"], "closure": {"linear": 1}},
-        ],
-        "sing_segre": {"center": "linear", "arg": 1},
-        "oracle": {"csm": "4*h^3 + 5*h^2 + 2*h", "chi": 4},
-        "expected": {"milnor": "-h^2", "virt": "4*h^3 + 4*h^2 + 2*h",
-                     "csm": "4*h^3 + 5*h^2 + 2*h", "chi": 4},
-    }],
-})
-
-_register({
-    "name": "two_planes_cap_plane_p3",
-    "derivation": (
-        "Intersecting the two planes with a generic plane gives a nodal "
-        "conic (two lines meeting in a point).  Directly in codimension 2: "
-        "c^Vir = (1+h)^4 ((1+2h)(1+h))^(-1) 2h^2 = 2h^2 + 2h^3 and "
-        "c^SM = 2 [line] + 3 [pt] = 2h^2 + 3h^3 (chi = 2 + 2 - 1), so "
-        "M = (-1)^(3-2) (c^Vir - c^SM) = h^3.  Every intersection formula "
-        "must reproduce this point class, supported on (line cap plane)."),
-    "ambient": {"kind": "proj", "n": 3},
-    "hypersurfaces": [
-        {
-            "name": "two_planes",
-            "multidegree": [2],
-            "strata": [
-                {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-                {"name": "line", "dim": 1, "milnor_fiber_chi": 0,
-                 "contained_in": ["reg"], "closure": {"linear": 1}},
-            ],
-            "oracle": {"csm": "4*h^3 + 5*h^2 + 2*h", "chi": 4},
-        },
-        {
-            "name": "plane",
-            "multidegree": [1],
-            "strata": [
-                {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-            ],
-            "oracle": {"chi": 3},
-        },
-    ],
-    "intersection": {
-        "hypersurfaces": ["two_planes", "plane"],
-        "expected": {"milnor": "h^3"},
-        "support": ["h^3"],
-    },
-})
-
-_register({
-    "name": "quadric_cone_cap_plane_p3",
-    "derivation": (
-        "A plane missing the vertex meets the cone in a smooth conic, so "
-        "every formula must vanish: the only nonzero Milnor input h^3 is a "
-        "point class and dies against the plane's classes in the truncated "
-        "ring, the ambient shadow of the vertex lying outside the plane."),
-    "ambient": {"kind": "proj", "n": 3},
-    "hypersurfaces": [
-        {
-            "name": "cone",
-            "multidegree": [2],
-            "strata": [
-                {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-                {"name": "vertex", "dim": 0, "milnor_fiber_chi": 2,
-                 "contained_in": ["reg"], "closure": "point"},
-            ],
-            "oracle": {"chi": 3},
-        },
-        {
-            "name": "plane",
-            "multidegree": [1],
-            "strata": [
-                {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-            ],
-        },
-    ],
-    "intersection": {
-        "hypersurfaces": ["cone", "plane"],
-        "expected": {"milnor": "0"},
-        "support": [],
-    },
-})
-
-_register(k_nodal_curve(4, 3))
-
-_register({
-    "name": "gamma_corrupted_control_p3",
-    "derivation": (
-        "Negative control: the two-planes fixture with the line's Milnor "
-        "fibre chi deliberately off by one (gamma becomes -2 instead of "
-        "-1), while the independently derived CSM class stays correct.  The "
-        "strata-driven routes and the class-driven routes must disagree and "
-        "the report must say FAIL."),
-    "expect_fail": True,
-    "ambient": {"kind": "proj", "n": 3},
-    "hypersurfaces": [
-        {
-            "name": "two_planes_bad",
-            "multidegree": [2],
-            "strata": [
-                {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-                {"name": "line", "dim": 1, "milnor_fiber_chi": -1,
-                 "contained_in": ["reg"], "closure": {"linear": 1}},
-            ],
-            "oracle": {"csm": "4*h^3 + 5*h^2 + 2*h", "chi": 4},
-        },
-        {
-            "name": "plane",
-            "multidegree": [1],
-            "strata": [
-                {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-            ],
-        },
-    ],
-    "intersection": {"hypersurfaces": ["two_planes_bad", "plane"]},
-})
-
-_register({
-    "name": "two_planes_le_route_p3",
-    "derivation": (
-        "The two-planes Milnor class -h^2 converted to Le data: "
-        "Lambda_1 = h^2 (the line with multiplicity one) and "
-        "Lambda_0 = 2h^3, frozen by back-substitution through the binomial "
-        "transform with c1(O(2)) = 2h.  Feeding the Le data back must "
-        "reproduce M = -h^2 exactly."),
-    "ambient": {"kind": "proj", "n": 3},
-    "hypersurfaces": [{
-        "name": "two_planes",
-        "multidegree": [2],
-        "strata": [
-            {"name": "reg", "dim": 2, "milnor_fiber_chi": 1, "contained_in": []},
-            {"name": "line", "dim": 1, "milnor_fiber_chi": 0,
-             "contained_in": ["reg"], "closure": {"linear": 1}},
-        ],
-        "le_cycles": {"1": "h^2", "0": "2*h^3"},
-        "oracle": {"csm": "4*h^3 + 5*h^2 + 2*h", "chi": 4},
-        "expected": {"milnor": "-h^2", "milnor-le": "-h^2"},
-    }],
-})
-
-_register({
-    "name": "general_case_p1",
-    "derivation": (
-        "Base P^1 with E = O(1) + O(1) and the synthetic input p*(h) z.  "
-        "The kernel contains z^(r-1) c_top(F) = p*(c_2(E)) = p*(h^2) = 0 on "
-        "P^1, so the pushforward vanishes identically; frozen as 0 by "
-        "independent expansion in the reduced ring."),
-    "ambient": {"kind": "proj", "n": 1},
-    "general_case": {
-        "base": {"kind": "proj", "n": 1},
-        "bundle": {"line_multidegrees": [[1], [1]]},
-        "milnor_tilde": "h*z",
-        "expected": "0",
-    },
-})
-
-_register({
-    "name": "general_case_p2",
-    "derivation": (
-        "Base P^2 with E = O(1) + O(1) and synthetic input z.  Using "
-        "z c_top(F) = p*(c_2(E)) = h^2, the kernel reduces to "
-        "h^2 (1 - z), so K z = h^2 z and the pushforward reads off h^2; "
-        "frozen by independent expansion in the reduced ring."),
-    "ambient": {"kind": "proj", "n": 2},
-    "general_case": {
-        "base": {"kind": "proj", "n": 2},
-        "bundle": {"line_multidegrees": [[1], [1]]},
-        "milnor_tilde": "z",
-        "expected": "h^2",
-    },
-})
-
-
 def list_examples() -> list[str]:
-    return sorted(FIXTURES)
+    return sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
 
 
 def load_fixture(name: str) -> dict:
-    if name not in FIXTURES:
-        raise KeyError(
-            f"unknown fixture {name!r}; available: {', '.join(list_examples())}")
-    return FIXTURES[name]
+    names = list_examples()
+    if name not in names:
+        raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names)}")
+    return json.loads((FIXTURE_DIR / f"{name}.json").read_text())
 
 
 def fixture_scenario(name: str) -> Scenario:
@@ -335,15 +71,3 @@ def fixture_scenario(name: str) -> Scenario:
 
 def run_example(name: str) -> ScenarioReport:
     return run_compute(fixture_scenario(name))
-
-
-def write_fixture_files(directory: str | Path) -> list[Path]:
-    """Ship the builtin fixtures as scenario files for the compute command."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in list_examples():
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(load_fixture(name), indent=2) + "\n")
-        written.append(path)
-    return written

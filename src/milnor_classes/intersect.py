@@ -22,7 +22,7 @@ identity; cross_validate checks that agreement and renders a report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .chow import AmbientSpace, CycleClass
@@ -36,7 +36,6 @@ class IntersectionScenario:
     ambient: AmbientSpace
     hyps: tuple[StratifiedHypersurface, ...]
     classes: tuple[ClassBundle3, ...]
-    transversality_assumed: bool = True
 
     def __post_init__(self) -> None:
         if len(self.hyps) != len(self.classes):
@@ -242,7 +241,6 @@ class CrossValidation:
 
     results: list[FormulaResult]
     expected: CycleClass | None = None
-    notes: list[str] = field(default_factory=list)
 
     @property
     def agree(self) -> bool:

@@ -42,12 +42,6 @@ class LeCycles:
     def max_index(self) -> int:
         return max(self.classes, default=-1)
 
-    def total(self) -> CycleClass:
-        out = self.ambient.zero()
-        for c in self.classes.values():
-            out = out + c
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeCycles):
             return NotImplemented
@@ -132,13 +126,8 @@ def milnor_from_le_intersection(hyps_le: list[tuple["LeCycles", BundleClass]],
         raise ValueError("need at least one hypersurface")
     if not len(hyps_le) == len(virts) == len(csms):
         raise ValueError("per-hypersurface class data is incomplete")
-    milnors = []
-    for le, l in hyps_le:
-        pieces = le_to_milnor(le, l)
-        total = le.ambient.zero()
-        for piece in pieces.values():
-            total = total + piece
-        milnors.append(total)
+    milnors = [sum(le_to_milnor(le, l).values(), le.ambient.zero())
+               for le, l in hyps_le]
     if len(milnors) == 1:
         return milnors[0]
     return telescoped_sum(virts, csms, milnors)

@@ -66,15 +66,6 @@ def taut_sub_chern(ring: ProjBundle) -> BundleClass:
     return BundleClass(ring, ring.rank - 1, _raw_sub_chern(ring))
 
 
-def pb_pushforward(ring: ProjBundle, a: CycleClass) -> CycleClass:
-    """p_*: the zeta^(r-1) coefficient of the normal form, on the base."""
-    return ring.pushforward(a)
-
-
-def pb_pullback(ring: ProjBundle, a: CycleClass) -> CycleClass:
-    return ring.pullback(a)
-
-
 @dataclass(frozen=True)
 class TangentCheck:
     ok: bool

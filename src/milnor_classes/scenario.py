@@ -22,11 +22,10 @@ from .bundles import BundleClass, direct_sum, line_bundle, trivial_bundle
 from .charclass import (
     ClassBundle3,
     aluffi_milnor,
-    csm_from_milnor,
-    milnor_pp,
+    class_triple,
+    hypersurface_classes,
     mu_class,
     segre_builtin,
-    virtual_class,
 )
 from .intersect import FORMULAS, IntersectionScenario, cross_validate
 from .lecycles import LeCycles, le_to_milnor
@@ -55,25 +54,42 @@ INTERSECTION_FORMULAS = ("thm41", "cor11", "cor12", "pp_ais", "pp_full")
 
 
 def _require(mapping: dict, key: str, fieldpath: str) -> Any:
+    if not isinstance(mapping, dict):
+        raise ScenarioError(fieldpath, f"expected an object, got {mapping!r}")
     if key not in mapping:
         raise ScenarioError(f"{fieldpath}.{key}", "missing required field")
     return mapping[key]
+
+
+def _int(value: Any, fieldpath: str) -> int:
+    """An integer field; bools, floats and numeric text are input errors."""
+    if type(value) is not int:
+        raise ScenarioError(fieldpath, f"expected an integer, got {value!r}")
+    return value
+
+
+def _int_tuple(values: Any, fieldpath: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ScenarioError(fieldpath, f"expected a list of integers, got {values!r}")
+    return tuple(_int(v, f"{fieldpath}[{i}]") for i, v in enumerate(values))
 
 
 def parse_ambient(data: Any, fieldpath: str = "ambient") -> AmbientSpace:
     if not isinstance(data, dict):
         raise ScenarioError(fieldpath, "expected an object with a 'kind' field")
     kind = _require(data, "kind", fieldpath)
+    if kind == "proj":
+        cls, arg = ProjSpace, _int(_require(data, "n", fieldpath), f"{fieldpath}.n")
+    elif kind == "multiproj":
+        cls, arg = MultiProj, _int_tuple(_require(data, "dims", fieldpath),
+                                         f"{fieldpath}.dims")
+    else:
+        raise ScenarioError(f"{fieldpath}.kind",
+                            f"unknown ambient kind {kind!r} (proj or multiproj)")
     try:
-        if kind == "proj":
-            return ProjSpace(int(_require(data, "n", fieldpath)))
-        if kind == "multiproj":
-            dims = _require(data, "dims", fieldpath)
-            return MultiProj(tuple(int(d) for d in dims))
+        return cls(arg)
     except ValueError as exc:
         raise ScenarioError(fieldpath, str(exc)) from exc
-    raise ScenarioError(f"{fieldpath}.kind",
-                        f"unknown ambient kind {kind!r} (proj or multiproj)")
 
 
 def _parse_class(ambient: AmbientSpace, text: Any, fieldpath: str) -> CycleClass:
@@ -88,8 +104,9 @@ def _parse_class(ambient: AmbientSpace, text: Any, fieldpath: str) -> CycleClass
 def _parse_stratum(ambient: AmbientSpace, data: dict, lb: BundleClass,
                    fieldpath: str) -> Stratum:
     name = _require(data, "name", fieldpath)
-    dim = int(_require(data, "dim", fieldpath))
-    chif = int(_require(data, "milnor_fiber_chi", fieldpath))
+    dim = _int(_require(data, "dim", fieldpath), f"{fieldpath}.dim")
+    chif = _int(_require(data, "milnor_fiber_chi", fieldpath),
+                f"{fieldpath}.milnor_fiber_chi")
     contained = frozenset(data.get("contained_in", []))
     closure_spec = data.get("closure")
     if closure_spec is None:
@@ -100,10 +117,15 @@ def _parse_stratum(ambient: AmbientSpace, data: dict, lb: BundleClass,
     elif closure_spec == "point":
         closure_class, csm = point_closure(ambient, 1)
     elif isinstance(closure_spec, dict) and "points" in closure_spec:
-        closure_class, csm = point_closure(ambient, int(closure_spec["points"]))
-    elif isinstance(closure_spec, dict) and "linear" in closure_spec:
+        count = _int(closure_spec["points"], f"{fieldpath}.closure.points")
         try:
-            closure_class, csm = linear_closure(ambient, int(closure_spec["linear"]))
+            closure_class, csm = point_closure(ambient, count)
+        except ValueError as exc:
+            raise ScenarioError(f"{fieldpath}.closure", str(exc)) from exc
+    elif isinstance(closure_spec, dict) and "linear" in closure_spec:
+        m = _int(closure_spec["linear"], f"{fieldpath}.closure.linear")
+        try:
+            closure_class, csm = linear_closure(ambient, m)
         except ValueError as exc:
             raise ScenarioError(f"{fieldpath}.closure", str(exc)) from exc
     elif isinstance(closure_spec, dict) and "class" in closure_spec:
@@ -156,9 +178,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         if hname in seen:
             raise ScenarioError(f"{fieldpath}.name", f"duplicate name {hname!r}")
         seen.add(hname)
-        multideg = _require(hdata, "multidegree", fieldpath)
+        multideg = _int_tuple(_require(hdata, "multidegree", fieldpath),
+                              f"{fieldpath}.multidegree")
         try:
-            lb = line_bundle(ambient, tuple(int(d) for d in multideg))
+            lb = line_bundle(ambient, multideg)
         except ValueError as exc:
             raise ScenarioError(f"{fieldpath}.multidegree", str(exc)) from exc
 
@@ -181,10 +204,18 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
 
         le = None
         if "le_cycles" in hdata:
+            le_data = hdata["le_cycles"]
+            if not isinstance(le_data, dict):
+                raise ScenarioError(f"{fieldpath}.le_cycles",
+                                    f"expected an object, got {le_data!r}")
+            classes = {}
+            for k, v in le_data.items():
+                kpath = f"{fieldpath}.le_cycles[{k}]"
+                if not (isinstance(k, str) and k.isascii() and k.isdigit()):
+                    raise ScenarioError(kpath, "key must be a non-negative integer")
+                classes[int(k)] = _parse_class(ambient, v, kpath)
             try:
-                le = LeCycles(ambient, {
-                    int(k): _parse_class(ambient, v, f"{fieldpath}.le_cycles[{k}]")
-                    for k, v in hdata["le_cycles"].items()})
+                le = LeCycles(ambient, classes)
             except ValueError as exc:
                 raise ScenarioError(f"{fieldpath}.le_cycles", str(exc)) from exc
         if hyp is None and le is None:
@@ -193,16 +224,19 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         segre = None
         if "sing_segre" in hdata:
             sdata = hdata["sing_segre"]
+            center = _require(sdata, "center", f"{fieldpath}.sing_segre")
+            arg = _int(_require(sdata, "arg", f"{fieldpath}.sing_segre"),
+                       f"{fieldpath}.sing_segre.arg")
             try:
-                segre = segre_builtin(ambient, _require(sdata, "center", f"{fieldpath}.sing_segre"),
-                                      int(_require(sdata, "arg", f"{fieldpath}.sing_segre")))
+                segre = segre_builtin(ambient, center, arg)
             except ValueError as exc:
                 raise ScenarioError(f"{fieldpath}.sing_segre", str(exc)) from exc
 
         oracle = hdata.get("oracle", {})
         oracle_csm = (None if "csm" not in oracle else
                       _parse_class(ambient, oracle["csm"], f"{fieldpath}.oracle.csm"))
-        oracle_chi = None if "chi" not in oracle else int(oracle["chi"])
+        oracle_chi = (None if "chi" not in oracle else
+                      _int(oracle["chi"], f"{fieldpath}.oracle.chi"))
         hyps.append(HypersurfaceSpec(
             name=hname, hyp=hyp, line_bundle=lb, le=le, segre=segre,
             oracle_csm=oracle_csm, oracle_chi=oracle_chi,
@@ -296,31 +330,20 @@ class ScenarioReport:
 
 
 def _hyp_class_triple(spec: HypersurfaceSpec) -> ClassBundle3:
-    """Class triple for one hypersurface, from strata or Le data.
+    """Class triple for one hypersurface, Milnor class from strata or Le data.
 
-    The oracle CSM class, when supplied, takes precedence so that corrupted
-    strata data is detectable instead of silently self-consistent.
+    The oracle CSM class, when supplied, takes precedence.
     """
-    ambient = spec.line_bundle.ambient
     if spec.hyp is not None:
-        milnor = milnor_pp(spec.hyp)
-    elif spec.le is not None:
-        pieces = le_to_milnor(spec.le, spec.line_bundle)
-        milnor = ambient.zero()
-        for part in pieces.values():
-            milnor = milnor + part
-    else:
-        raise ScenarioError(spec.name, "no route to a Milnor class")
-    virt = virtual_class(ambient, spec.line_bundle, spec.line_bundle.c1())
-    if spec.oracle_csm is not None:
-        csm = spec.oracle_csm
-    else:
-        csm = csm_from_milnor(virt, milnor, ambient.dimension, 1)
-    return ClassBundle3(virt=virt, csm=csm, milnor=milnor, codim=1)
+        return hypersurface_classes(spec.hyp, spec.oracle_csm)
+    pieces = le_to_milnor(spec.le, spec.line_bundle)
+    milnor = sum(pieces.values(), spec.line_bundle.ambient.zero())
+    return class_triple(spec.line_bundle, milnor, spec.oracle_csm)
 
 
 def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3, formulas: set[str],
                           fieldpath: str) -> ReportSection:
+    ambient = spec.line_bundle.ambient
     sec = ReportSection(kind="hypersurface", title=f"hypersurface {spec.name}")
     sec.results["virt"] = cb.virt.render()
     sec.results["csm"] = cb.csm.render()
@@ -333,7 +356,8 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3, formulas: se
     if spec.oracle_chi is not None:
         sec.verdicts["chi-oracle"] = cb.csm.degree() == spec.oracle_chi
     if spec.hyp is not None and spec.le is not None:
-        le_total = _le_total(spec)
+        pieces = le_to_milnor(spec.le, spec.line_bundle)
+        le_total = sum(pieces.values(), ambient.zero())
         sec.results["milnor-le"] = le_total.render()
         sec.verdicts["le-agrees"] = le_total == cb.milnor
     if spec.hyp is not None and spec.segre is not None and (
@@ -343,26 +367,18 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3, formulas: se
         sec.results["mu-class"] = mu.render()
         sec.results["milnor-aluffi"] = am.render()
         sec.verdicts["aluffi-agrees"] = am == cb.milnor
-    ambient = spec.line_bundle.ambient
     for key, want in sorted(spec.expected.items()):
         got = sec.results.get(key)
         if got is None:
             sec.verdicts[f"expected-{key}"] = False
             sec.notes.append(f"expected key {key!r} was not computed")
         elif key == "chi":
-            sec.verdicts[f"expected-{key}"] = int(got) == int(want)
+            sec.verdicts[f"expected-{key}"] = int(got) == _int(
+                want, f"{fieldpath}.expected.{key}")
         else:
             sec.verdicts[f"expected-{key}"] = (parse_class(ambient, got) == _parse_class(
                 ambient, str(want), f"{fieldpath}.expected.{key}"))
     return sec
-
-
-def _le_total(spec: HypersurfaceSpec) -> CycleClass:
-    pieces = le_to_milnor(spec.le, spec.line_bundle)
-    total = spec.line_bundle.ambient.zero()
-    for part in pieces.values():
-        total = total + part
-    return total
 
 
 def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], ClassBundle3],
@@ -421,11 +437,12 @@ def _general_case_section(sc: Scenario) -> ReportSection:
     bdata = block["bundle"]
     if "line_multidegrees" in bdata:
         e = trivial_bundle(base, 0)
-        for degs in bdata["line_multidegrees"]:
-            e = direct_sum(e, line_bundle(base, tuple(int(d) for d in degs)))
+        for j, degs in enumerate(bdata["line_multidegrees"]):
+            e = direct_sum(e, line_bundle(base, _int_tuple(
+                degs, f"general_case.bundle.line_multidegrees[{j}]")))
     elif "rank" in bdata and "chern" in bdata:
         chern = _parse_class(base, bdata["chern"], "general_case.bundle.chern")
-        e = BundleClass(base, int(bdata["rank"]), chern)
+        e = BundleClass(base, _int(bdata["rank"], "general_case.bundle.rank"), chern)
     else:
         raise ScenarioError("general_case.bundle",
                             "needs line_multidegrees or rank+chern")

@@ -14,7 +14,6 @@ from milnor_classes.bundles import direct_sum, line_bundle, top_chern
 from milnor_classes.charclass import (
     aluffi_milnor,
     aluffi_tensor,
-    chi_of_closure,
     csm_from_milnor,
     hypersurface_classes,
     milnor_pp,
@@ -125,7 +124,7 @@ class TestDefinitionIdentity:
         from milnor_classes.chow import parse_class
         ambient = hyp.ambient
         csm_oracle = parse_class(ambient, csm_text)
-        assert chi_of_closure(csm_oracle) == chi
+        assert csm_oracle.degree() == chi
         virt = virtual_class(ambient, hyp.line_bundle, hyp.hypersurface_class)
         n = ambient.dimension
         sign = -1 if (n - 1) % 2 else 1

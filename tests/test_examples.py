@@ -1,9 +1,12 @@
 """Builtin fixtures: expected values hold and cross-validation passes."""
 
+from pathlib import Path
+
 import pytest
 
+from milnor_classes.cli import main
 from milnor_classes.examples import (
-    FIXTURES,
+    FIXTURE_DIR,
     k_nodal_curve,
     list_examples,
     load_fixture,
@@ -11,6 +14,7 @@ from milnor_classes.examples import (
 )
 from milnor_classes.scenario import parse_scenario, run_compute
 
+ROOT_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 REQUIRED = [
     "nodal_cubic_p2",
@@ -38,8 +42,26 @@ class TestCatalog:
             assert fixture.get("derivation"), f"{name} has no derivation text"
 
 
+class TestSingleSource:
+    """The package's fixture files are the only copy of the fixtures."""
+
+    def test_catalog_is_the_shipped_files(self):
+        assert list_examples() == sorted(p.stem for p in ROOT_FIXTURES.glob("*.json"))
+        assert ROOT_FIXTURES.resolve() == FIXTURE_DIR.resolve()
+
+    @pytest.mark.parametrize("name", list_examples())
+    def test_examples_run_equals_compute_file(self, name, capsys):
+        main(["examples", "--run", name, "--machine", "--no-timing"])
+        via_examples = capsys.readouterr().out
+        main(["compute", str(ROOT_FIXTURES / f"{name}.json"), "--machine", "--no-timing"])
+        assert capsys.readouterr().out == via_examples
+
+    def test_parametric_family_reproduces_its_file(self):
+        assert k_nodal_curve(4, 3) == load_fixture("3_nodal_degree_4_curve_p2")
+
+
 class TestFixtureRuns:
-    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("name", list_examples())
     def test_fixture_verdicts(self, name):
         fixture = load_fixture(name)
         report = run_example(name)

@@ -17,7 +17,6 @@ from milnor_classes.projbundle import (
     make_bundle_ring,
     milnor_general,
     o1,
-    pb_pushforward,
     projection_formula_check,
     relative_tangent_chern,
     taut_sub_chern,
@@ -68,16 +67,16 @@ class TestTautSub:
 class TestPushforward:
     def test_zeta_power_r_minus_1(self):
         ring = split_ring(P1, [1, 2])
-        assert pb_pushforward(ring, ring.zeta()) == P1.one()
+        assert ring.pushforward(ring.zeta()) == P1.one()
 
     def test_pullback_kills(self):
         ring = split_ring(P1, [1, 2])
-        assert pb_pushforward(ring, ring.pullback(P1.gen(0))).is_zero()
+        assert ring.pushforward(ring.pullback(P1.gen(0))).is_zero()
 
     def test_zeta_squared(self):
         # z^2 reduces to (a+b) h z over P^1, so p_* gives (a+b) h
         ring = split_ring(P1, [1, 2])
-        assert pb_pushforward(ring, ring.zeta() ** 2) == P1.gen(0).scale(3)
+        assert ring.pushforward(ring.zeta() ** 2) == P1.gen(0).scale(3)
 
     def test_projection_formula_randomized(self):
         rng = random.Random(5)

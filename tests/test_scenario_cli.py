@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from milnor_classes.chow import ProjSpace, parse_class
-from milnor_classes.examples import list_examples, load_fixture
+from milnor_classes.examples import load_fixture
 from milnor_classes.scenario import (
     ScenarioError,
     load_scenario_file,
@@ -174,12 +174,6 @@ class TestReports:
 
 
 class TestFixtureFiles:
-    def test_shipped_files_match_builtins(self):
-        for name in list_examples():
-            path = FIXTURE_DIR / f"{name}.json"
-            assert path.exists(), f"fixture file missing: {path}"
-            assert json.loads(path.read_text()) == load_fixture(name)
-
     def test_load_scenario_file(self):
         sc = load_scenario_file(FIXTURE_DIR / "nodal_cubic_p2.json")
         report = run_compute(sc)
@@ -238,6 +232,29 @@ class TestCli:
         path.write_text(json.dumps(data))
         result = run_cli("compute", str(path), expect=2)
         assert "intersection.expected.milnor" in result.stderr
+
+    @pytest.mark.parametrize("fieldpath,mutate", [
+        ("hypersurfaces[0].strata[1].dim",
+         lambda d: d["hypersurfaces"][0]["strata"][1].update(dim="x")),
+        ("hypersurfaces[0].strata[1].closure.points",
+         lambda d: d["hypersurfaces"][0]["strata"][1].update(closure={"points": "x"})),
+        ("hypersurfaces[0].oracle.chi",
+         lambda d: d["hypersurfaces"][0].update(oracle={"chi": "abc"})),
+        ("hypersurfaces[0].expected.chi",
+         lambda d: d["hypersurfaces"][0].update(expected={"chi": "abc"})),
+        ("ambient.n", lambda d: d["ambient"].update(n=True)),
+        ("hypersurfaces[0].le_cycles[-5]",
+         lambda d: d["hypersurfaces"][0].update(le_cycles={"-5": "0"})),
+    ], ids=["stratum-dim", "closure-points", "oracle-chi", "expected-chi",
+            "bool-n", "negative-le-key"])
+    def test_malformed_integer_exit_2(self, tmp_path, fieldpath, mutate):
+        data = minimal_scenario()
+        mutate(data)
+        path = tmp_path / "bad_int.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("compute", str(path), expect=2)
+        assert fieldpath in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
