@@ -52,7 +52,8 @@ from .intersect import (
     cross_validate,
     milnor_cor11,
     milnor_cor12,
-    milnor_pp_type,
+    milnor_pp_ais,
+    milnor_pp_full,
     milnor_thm41,
 )
 from .projbundle import (

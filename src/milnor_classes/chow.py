@@ -210,13 +210,10 @@ class ProjBundle(AmbientSpace):
     """Total space of P(E^v) -> base for a formal bundle E of rank r >= 1.
 
     The bundle is recorded by its rank and total Chern class on the base.
-    The tautological quotient line bundle O(1) contributes the generator z;
-    relation_sign = -1 flips the sign of the c1 term of the z-relation and
-    exists only as a negative-control hook for the verification harness.
+    The tautological quotient line bundle O(1) contributes the generator z.
     """
 
-    def __init__(self, base: AmbientSpace, rank: int, chern: "CycleClass",
-                 relation_sign: int = 1):
+    def __init__(self, base: AmbientSpace, rank: int, chern: "CycleClass"):
         if rank < 1:
             raise ValueError(f"bundle rank must be >= 1, got {rank}")
         if chern.ambient != base:
@@ -226,7 +223,6 @@ class ProjBundle(AmbientSpace):
         self.base = base
         self.rank = rank
         self.chern = chern
-        self.relation_sign = relation_sign
 
     @property
     def dimension(self) -> int:
@@ -254,8 +250,6 @@ class ProjBundle(AmbientSpace):
         rel: dict[tuple[int, ...], int] = {}
         for i, part in self.chern.components()[1:self.rank + 1]:
             sign = (-1) ** (i - 1)
-            if i == 1:
-                sign *= self.relation_sign
             for mono, c in part.coeffs.items():
                 key = mono + (self.rank - i,)
                 rel[key] = rel.get(key, 0) + sign * c
@@ -293,14 +287,13 @@ class ProjBundle(AmbientSpace):
         return self.pullback(self.base.tangent_chern) * tensor_line(e_pull, o1).chern
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ProjBundle)
+        return (type(other) is type(self)
                 and self.base == other.base
                 and self.rank == other.rank
-                and self.chern == other.chern
-                and self.relation_sign == other.relation_sign)
+                and self.chern == other.chern)
 
     def __hash__(self) -> int:
-        return hash(("ProjBundle", self.base, self.rank, self.chern, self.relation_sign))
+        return hash(("ProjBundle", self.base, self.rank, self.chern))
 
     def __repr__(self) -> str:
         return f"ProjBundle({self.base!r}, rank={self.rank})"

@@ -62,17 +62,16 @@ def _emit(report, machine: bool, no_timing: bool) -> None:
 def cmd_compute(args) -> int:
     try:
         scenario = load_scenario_file(args.file)
-        selected = set(args.formula or [])
-        if "all" in selected:
-            selected = set()
-        report = run_compute(scenario, formulas=selected,
-                             with_timing=not args.no_timing)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
+    selected = set(args.formula or [])
+    if "all" in selected:
+        selected = set()
+    report = run_compute(scenario, formulas=selected, with_timing=not args.no_timing)
     _emit(report, args.machine, args.no_timing)
     if args.strict and not report.ok:
         return 1

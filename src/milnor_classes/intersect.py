@@ -12,8 +12,8 @@ ambient ring:
                   (the selection table with V_{j+1} for j >= i, S_j below);
 * virtual difference: (-1)^(n-r) c((TM)^(+(r-1)))^(-1) cap (prod V - prod S);
 * stratum expansions: the per-stratum weighted forms, either expanding
-  each M(X_i) by its strata (ais mode) or expanding everything into a sum
-  over stratum tuples with CSM-closure kernels (full mode).
+  each M(X_i) by its strata (milnor_pp_ais) or expanding everything into a
+  sum over stratum tuples with CSM-closure kernels (milnor_pp_full).
 
 All four agree exactly whenever each input triple satisfies the definition
 identity; cross_validate checks that agreement and renders a report.
@@ -38,6 +38,9 @@ class IntersectionScenario:
     classes: tuple[ClassBundle3, ...]
 
     def __post_init__(self) -> None:
+        if len(self.hyps) < 2:
+            raise ValueError(
+                f"intersection formulas need r >= 2 hypersurfaces, got {len(self.hyps)}")
         if len(self.hyps) != len(self.classes):
             raise ValueError("need one class triple per hypersurface")
         for h in self.hyps:
@@ -53,11 +56,6 @@ class IntersectionScenario:
 def _inv_tangent_power(ambient: AmbientSpace, copies: int) -> CycleClass:
     """c((TM)^(+copies))^(-1), cached per ambient (pure-function cache)."""
     return (tangent_bundle(ambient).chern ** copies).inverse()
-
-
-def _require_r2(r: int) -> None:
-    if r < 2:
-        raise ValueError(f"intersection formulas need r >= 2 hypersurfaces, got {r}")
 
 
 def selector_terms(sc: IntersectionScenario) -> list[tuple[tuple[int, ...], int, CycleClass]]:
@@ -87,7 +85,6 @@ def selector_terms(sc: IntersectionScenario) -> list[tuple[tuple[int, ...], int,
 
 def milnor_thm41(sc: IntersectionScenario) -> CycleClass:
     """Selector-sum formula over all Milnor/CSM choices except all-CSM."""
-    _require_r2(sc.r)
     total = sc.ambient.zero()
     for _, sign, product in selector_terms(sc):
         total = total + product.scale(sign)
@@ -118,7 +115,6 @@ def telescoped_sum(virts: list[CycleClass], csms: list[CycleClass],
 
 def milnor_cor11(sc: IntersectionScenario) -> CycleClass:
     """Telescoped sum over which factor contributes its Milnor class."""
-    _require_r2(sc.r)
     return telescoped_sum([cb.virt for cb in sc.classes],
                           [cb.csm for cb in sc.classes],
                           [cb.milnor for cb in sc.classes])
@@ -126,7 +122,6 @@ def milnor_cor11(sc: IntersectionScenario) -> CycleClass:
 
 def milnor_cor12(sc: IntersectionScenario) -> CycleClass:
     """Virtual-difference formula: (-1)^(n-r) c^(-1) (prod V - prod S)."""
-    _require_r2(sc.r)
     ambient = sc.ambient
     prod_v = ambient.one()
     prod_s = ambient.one()
@@ -138,25 +133,8 @@ def milnor_cor12(sc: IntersectionScenario) -> CycleClass:
     return _inv_tangent_power(ambient, sc.r - 1) * (prod_v - prod_s).scale(sign)
 
 
-def milnor_pp_type(sc: IntersectionScenario, mode: str = "full_expansion") -> CycleClass:
-    """Per-stratum expansions of the intersection Milnor class.
-
-    per_stratum_ais expands each factor's Milnor class into its weighted
-    strata inside the telescoped sum.  full_expansion is the sum over
-    stratum tuples (S_1, ..., S_r) != (all regular parts) with coefficient
-    (-1)^((n-1) sum eps) prod gamma^(1-eps) and kernel
-    prod c(L_i)^(eps_i) / c(L_1 + ... + L_r) cap prod c^SM(closure S_i),
-    eps_i = 1 exactly on the regular stratum.
-    """
-    _require_r2(sc.r)
-    if mode == "per_stratum_ais":
-        return _pp_ais(sc)
-    if mode == "full_expansion":
-        return _pp_full(sc)
-    raise ValueError(f"unknown mode {mode!r}; use per_stratum_ais or full_expansion")
-
-
-def _pp_ais(sc: IntersectionScenario) -> CycleClass:
+def milnor_pp_ais(sc: IntersectionScenario) -> CycleClass:
+    """Telescoped sum with each factor's Milnor class expanded into its strata."""
     ambient = sc.ambient
     r = sc.r
     total = ambient.zero()
@@ -177,7 +155,14 @@ def _pp_ais(sc: IntersectionScenario) -> CycleClass:
     return _inv_tangent_power(ambient, r - 1) * total
 
 
-def _pp_full(sc: IntersectionScenario) -> CycleClass:
+def milnor_pp_full(sc: IntersectionScenario) -> CycleClass:
+    """Full per-stratum expansion of the intersection Milnor class.
+
+    The sum over stratum tuples (S_1, ..., S_r) != (all regular parts) with
+    coefficient (-1)^((n-1) sum eps) prod gamma^(1-eps) and kernel
+    prod c(L_i)^(eps_i) / c(L_1 + ... + L_r) cap prod c^SM(closure S_i),
+    eps_i = 1 exactly on the regular stratum.
+    """
     ambient = sc.ambient
     n = ambient.dimension
     r = sc.r
@@ -224,8 +209,8 @@ FORMULAS = {
     "thm41": milnor_thm41,
     "cor11": milnor_cor11,
     "cor12": milnor_cor12,
-    "pp_ais": lambda sc: milnor_pp_type(sc, "per_stratum_ais"),
-    "pp_full": lambda sc: milnor_pp_type(sc, "full_expansion"),
+    "pp_ais": milnor_pp_ais,
+    "pp_full": milnor_pp_full,
 }
 
 

@@ -28,17 +28,11 @@ from .chow import AmbientSpace, CycleClass, ProjBundle
 from .bundles import BundleClass, dual, tensor_line, top_chern, twist_chern
 
 
-def make_bundle_ring(base: AmbientSpace, e: BundleClass,
-                     relation_sign: int = 1) -> ProjBundle:
+def make_bundle_ring(base: AmbientSpace, e: BundleClass) -> ProjBundle:
     """The Chow ring of P(E^v) as an ambient space."""
     if e.ambient != base:
         raise ValueError("bundle does not live on the given base")
-    return ProjBundle(base, e.rank, e.chern, relation_sign=relation_sign)
-
-
-def corrupted_bundle_ring(base: AmbientSpace, e: BundleClass) -> ProjBundle:
-    """Negative-control ring with one sign of the zeta-relation flipped."""
-    return make_bundle_ring(base, e, relation_sign=-1)
+    return ProjBundle(base, e.rank, e.chern)
 
 
 def o1(ring: ProjBundle) -> BundleClass:

@@ -3,7 +3,9 @@
 A scenario file is a JSON document naming one ambient space, a list of
 hypersurfaces (strata and/or Le-cycle data, optional Segre descriptor of
 the singular locus, optional oracle and expected values), an optional
-intersection block, and an optional general-case block.  Reports carry a
+intersection block, an optional general-case block and optional tasks.
+parse_scenario checks the whole document and returns typed values only;
+run_compute reads those and raises no input errors.  Reports carry a
 human-readable table and a machine-readable JSON rendering with canonical
 class text as values; identical inputs yield byte-identical reports once
 timing is suppressed.
@@ -47,16 +49,29 @@ class ScenarioError(ValueError):
         self.fieldpath = fieldpath
 
 
-INTERSECTION_FORMULAS = ("thm41", "cor11", "cor12", "pp_ais", "pp_full")
-
-
 # -- parsing -------------------------------------------------------------------
+
+TASK_KINDS = ("hypersurfaces", "intersection", "general_case")
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value: Any, kind: type, fieldpath: str) -> Any:
+    """A JSON object, list or string field of the expected type."""
+    if not isinstance(value, kind):
+        raise ScenarioError(fieldpath, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _checked(fieldpath: str, fn: Callable, *args: Any) -> Any:
+    """fn(*args), with a ValueError it raises reported at fieldpath."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ScenarioError(fieldpath, str(exc)) from exc
 
 
 def _require(mapping: dict, key: str, fieldpath: str) -> Any:
-    if not isinstance(mapping, dict):
-        raise ScenarioError(fieldpath, f"expected an object, got {mapping!r}")
-    if key not in mapping:
+    if key not in _typed(mapping, dict, fieldpath):
         raise ScenarioError(f"{fieldpath}.{key}", "missing required field")
     return mapping[key]
 
@@ -69,14 +84,15 @@ def _int(value: Any, fieldpath: str) -> int:
 
 
 def _int_tuple(values: Any, fieldpath: str) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise ScenarioError(fieldpath, f"expected a list of integers, got {values!r}")
-    return tuple(_int(v, f"{fieldpath}[{i}]") for i, v in enumerate(values))
+    return tuple(_int(v, f"{fieldpath}[{i}]")
+                 for i, v in enumerate(_typed(values, list, fieldpath)))
+
+
+def _name(data: dict, fieldpath: str) -> str:
+    return _typed(_require(data, "name", fieldpath), str, f"{fieldpath}.name")
 
 
 def parse_ambient(data: Any, fieldpath: str = "ambient") -> AmbientSpace:
-    if not isinstance(data, dict):
-        raise ScenarioError(fieldpath, "expected an object with a 'kind' field")
     kind = _require(data, "kind", fieldpath)
     if kind == "proj":
         cls, arg = ProjSpace, _int(_require(data, "n", fieldpath), f"{fieldpath}.n")
@@ -86,28 +102,24 @@ def parse_ambient(data: Any, fieldpath: str = "ambient") -> AmbientSpace:
     else:
         raise ScenarioError(f"{fieldpath}.kind",
                             f"unknown ambient kind {kind!r} (proj or multiproj)")
-    try:
-        return cls(arg)
-    except ValueError as exc:
-        raise ScenarioError(fieldpath, str(exc)) from exc
+    return _checked(fieldpath, cls, arg)
 
 
 def _parse_class(ambient: AmbientSpace, text: Any, fieldpath: str) -> CycleClass:
     if not isinstance(text, str):
         raise ScenarioError(fieldpath, f"expected canonical class text, got {text!r}")
-    try:
-        return parse_class(ambient, text)
-    except ValueError as exc:
-        raise ScenarioError(fieldpath, str(exc)) from exc
+    return _checked(fieldpath, parse_class, ambient, text)
 
 
 def _parse_stratum(ambient: AmbientSpace, data: dict, lb: BundleClass,
                    fieldpath: str) -> Stratum:
-    name = _require(data, "name", fieldpath)
+    name = _name(data, fieldpath)
     dim = _int(_require(data, "dim", fieldpath), f"{fieldpath}.dim")
     chif = _int(_require(data, "milnor_fiber_chi", fieldpath),
                 f"{fieldpath}.milnor_fiber_chi")
-    contained = frozenset(data.get("contained_in", []))
+    cpath = f"{fieldpath}.contained_in"
+    contained = frozenset(_typed(c, str, f"{cpath}[{k}]") for k, c in
+                          enumerate(_typed(data.get("contained_in", []), list, cpath)))
     closure_spec = data.get("closure")
     if closure_spec is None:
         if contained:
@@ -118,16 +130,10 @@ def _parse_stratum(ambient: AmbientSpace, data: dict, lb: BundleClass,
         closure_class, csm = point_closure(ambient, 1)
     elif isinstance(closure_spec, dict) and "points" in closure_spec:
         count = _int(closure_spec["points"], f"{fieldpath}.closure.points")
-        try:
-            closure_class, csm = point_closure(ambient, count)
-        except ValueError as exc:
-            raise ScenarioError(f"{fieldpath}.closure", str(exc)) from exc
+        closure_class, csm = _checked(f"{fieldpath}.closure", point_closure, ambient, count)
     elif isinstance(closure_spec, dict) and "linear" in closure_spec:
         m = _int(closure_spec["linear"], f"{fieldpath}.closure.linear")
-        try:
-            closure_class, csm = linear_closure(ambient, m)
-        except ValueError as exc:
-            raise ScenarioError(f"{fieldpath}.closure", str(exc)) from exc
+        closure_class, csm = _checked(f"{fieldpath}.closure", linear_closure, ambient, m)
     elif isinstance(closure_spec, dict) and "class" in closure_spec:
         closure_class = _parse_class(ambient, closure_spec["class"],
                                      f"{fieldpath}.closure.class")
@@ -153,7 +159,20 @@ class HypersurfaceSpec:
     segre: CycleClass | None
     oracle_csm: CycleClass | None
     oracle_chi: int | None
-    expected: dict[str, Any]
+    expected: dict[str, int | CycleClass]    # "chi" -> int, other keys -> class
+
+
+@dataclass
+class IntersectionSpec:
+    names: list[str]
+    expected: CycleClass | None
+    support: list[CycleClass] | None
+
+
+@dataclass
+class GeneralCaseSpec:
+    input: GeneralCaseInput
+    expected: CycleClass | None
 
 
 @dataclass
@@ -161,111 +180,153 @@ class Scenario:
     name: str
     ambient: AmbientSpace
     hypersurfaces: list[HypersurfaceSpec]
-    intersection: dict | None
-    general_case: dict | None
-    tasks: list[dict]
+    intersection: IntersectionSpec | None
+    general_case: GeneralCaseSpec | None
+    tasks: list[str]                         # TASK_KINDS entries, in report order
+
+
+def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
+                        fieldpath: str) -> HypersurfaceSpec:
+    hname = _name(hdata, fieldpath)
+    multideg = _int_tuple(_require(hdata, "multidegree", fieldpath),
+                          f"{fieldpath}.multidegree")
+    lb = _checked(f"{fieldpath}.multidegree", line_bundle, ambient, multideg)
+
+    hyp = None
+    if "strata" in hdata:
+        strata = tuple(
+            _parse_stratum(ambient, s, lb, f"{fieldpath}.strata[{j}]")
+            for j, s in enumerate(_typed(hdata["strata"], list, f"{fieldpath}.strata")))
+        names = {s.name for s in strata}
+        for j, s in enumerate(strata):
+            unknown = s.contained_in - names
+            if unknown:
+                raise ScenarioError(
+                    f"{fieldpath}.strata[{j}].contained_in",
+                    f"unknown stratum name(s) {sorted(unknown)}")
+        hyp = _checked(f"{fieldpath}.strata", StratifiedHypersurface,
+                       hname, ambient, lb, strata)
+
+    le = None
+    if "le_cycles" in hdata:
+        le_data = _typed(hdata["le_cycles"], dict, f"{fieldpath}.le_cycles")
+        classes = {}
+        for k, v in le_data.items():
+            kpath = f"{fieldpath}.le_cycles[{k}]"
+            if not (isinstance(k, str) and k.isascii() and k.isdigit()):
+                raise ScenarioError(kpath, "key must be a non-negative integer")
+            classes[int(k)] = _parse_class(ambient, v, kpath)
+        le = _checked(f"{fieldpath}.le_cycles", LeCycles, ambient, classes)
+    if hyp is None and le is None:
+        raise ScenarioError(fieldpath, "needs strata and/or le_cycles data")
+
+    segre = None
+    if "sing_segre" in hdata:
+        sdata = hdata["sing_segre"]
+        center = _require(sdata, "center", f"{fieldpath}.sing_segre")
+        arg = _int(_require(sdata, "arg", f"{fieldpath}.sing_segre"),
+                   f"{fieldpath}.sing_segre.arg")
+        segre = _checked(f"{fieldpath}.sing_segre", segre_builtin, ambient, center, arg)
+
+    oracle = _typed(hdata.get("oracle", {}), dict, f"{fieldpath}.oracle")
+    oracle_csm = (None if "csm" not in oracle else
+                  _parse_class(ambient, oracle["csm"], f"{fieldpath}.oracle.csm"))
+    oracle_chi = (None if "chi" not in oracle else
+                  _int(oracle["chi"], f"{fieldpath}.oracle.chi"))
+    epath = f"{fieldpath}.expected"
+    expected = {}
+    for key, want in sorted(_typed(hdata.get("expected", {}), dict, epath).items()):
+        expected[key] = (_int(want, f"{epath}.{key}") if key == "chi"
+                         else _parse_class(ambient, want, f"{epath}.{key}"))
+    return HypersurfaceSpec(name=hname, hyp=hyp, line_bundle=lb, le=le, segre=segre,
+                            oracle_csm=oracle_csm, oracle_chi=oracle_chi,
+                            expected=expected)
+
+
+def _parse_intersection(ambient: AmbientSpace, block: Any,
+                        known: set[str]) -> IntersectionSpec:
+    names = _typed(_require(block, "hypersurfaces", "intersection"), list,
+                   "intersection.hypersurfaces")
+    for j, ref in enumerate(names):
+        if _typed(ref, str, f"intersection.hypersurfaces[{j}]") not in known:
+            raise ScenarioError(f"intersection.hypersurfaces[{j}]",
+                                f"unknown hypersurface {ref!r}")
+    if len(names) < 2:
+        raise ScenarioError("intersection.hypersurfaces",
+                            f"an intersection needs r >= 2 hypersurfaces, got {len(names)}")
+    exp = _typed(block.get("expected", {}), dict, "intersection.expected")
+    expected = (None if "milnor" not in exp else
+                _parse_class(ambient, exp["milnor"], "intersection.expected.milnor"))
+    support = block.get("support")
+    if support is not None:
+        support = [_parse_class(ambient, text, f"intersection.support[{j}]") for j, text
+                   in enumerate(_typed(support, list, "intersection.support"))]
+    return IntersectionSpec(names, expected, support)
+
+
+def _parse_general_case(block: Any) -> GeneralCaseSpec:
+    base = parse_ambient(_require(block, "base", "general_case"), "general_case.base")
+    bpath = "general_case.bundle"
+    bdata = _typed(_require(block, "bundle", "general_case"), dict, bpath)
+    if "line_multidegrees" in bdata:
+        e = trivial_bundle(base, 0)
+        lpath = f"{bpath}.line_multidegrees"
+        for j, degs in enumerate(_typed(bdata["line_multidegrees"], list, lpath)):
+            e = direct_sum(e, _checked(f"{lpath}[{j}]", line_bundle, base,
+                                       _int_tuple(degs, f"{lpath}[{j}]")))
+    elif "rank" in bdata and "chern" in bdata:
+        chern = _parse_class(base, bdata["chern"], f"{bpath}.chern")
+        e = _checked(bpath, BundleClass, base, _int(bdata["rank"], f"{bpath}.rank"), chern)
+    else:
+        raise ScenarioError(bpath, "needs line_multidegrees or rank+chern")
+    ring = _checked(bpath, make_bundle_ring, base, e)
+    mtilde = _parse_class(ring, _require(block, "milnor_tilde", "general_case"),
+                          "general_case.milnor_tilde")
+    expected = (None if "expected" not in block else
+                _parse_class(base, block["expected"], "general_case.expected"))
+    return GeneralCaseSpec(GeneralCaseInput(ring, mtilde), expected)
 
 
 def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
+    """Check a scenario document and build every value the compute stage reads."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario", "top level must be a JSON object")
     ambient = parse_ambient(_require(data, "ambient", "scenario"))
     hyps: list[HypersurfaceSpec] = []
-    seen: set[str] = set()
-    for i, hdata in enumerate(data.get("hypersurfaces", [])):
-        fieldpath = f"hypersurfaces[{i}]"
-        hname = _require(hdata, "name", fieldpath)
-        if hname in seen:
-            raise ScenarioError(f"{fieldpath}.name", f"duplicate name {hname!r}")
-        seen.add(hname)
-        multideg = _int_tuple(_require(hdata, "multidegree", fieldpath),
-                              f"{fieldpath}.multidegree")
-        try:
-            lb = line_bundle(ambient, multideg)
-        except ValueError as exc:
-            raise ScenarioError(f"{fieldpath}.multidegree", str(exc)) from exc
+    for i, hdata in enumerate(_typed(data.get("hypersurfaces", []), list, "hypersurfaces")):
+        spec = _parse_hypersurface(ambient, hdata, f"hypersurfaces[{i}]")
+        if any(h.name == spec.name for h in hyps):
+            raise ScenarioError(f"hypersurfaces[{i}].name", f"duplicate name {spec.name!r}")
+        hyps.append(spec)
+    intersection = (None if data.get("intersection") is None else
+                    _parse_intersection(ambient, data["intersection"], {h.name for h in hyps}))
+    general = (None if data.get("general_case") is None else
+               _parse_general_case(data["general_case"]))
 
-        hyp = None
-        if "strata" in hdata:
-            strata = tuple(
-                _parse_stratum(ambient, s, lb, f"{fieldpath}.strata[{j}]")
-                for j, s in enumerate(hdata["strata"]))
-            names = {s.name for s in strata}
-            for j, s in enumerate(strata):
-                unknown = s.contained_in - names
-                if unknown:
-                    raise ScenarioError(
-                        f"{fieldpath}.strata[{j}].contained_in",
-                        f"unknown stratum name(s) {sorted(unknown)}")
-            try:
-                hyp = StratifiedHypersurface(hname, ambient, lb, strata)
-            except StratificationError as exc:
-                raise ScenarioError(f"{fieldpath}.strata", str(exc)) from exc
-
-        le = None
-        if "le_cycles" in hdata:
-            le_data = hdata["le_cycles"]
-            if not isinstance(le_data, dict):
-                raise ScenarioError(f"{fieldpath}.le_cycles",
-                                    f"expected an object, got {le_data!r}")
-            classes = {}
-            for k, v in le_data.items():
-                kpath = f"{fieldpath}.le_cycles[{k}]"
-                if not (isinstance(k, str) and k.isascii() and k.isdigit()):
-                    raise ScenarioError(kpath, "key must be a non-negative integer")
-                classes[int(k)] = _parse_class(ambient, v, kpath)
-            try:
-                le = LeCycles(ambient, classes)
-            except ValueError as exc:
-                raise ScenarioError(f"{fieldpath}.le_cycles", str(exc)) from exc
-        if hyp is None and le is None:
-            raise ScenarioError(fieldpath, "needs strata and/or le_cycles data")
-
-        segre = None
-        if "sing_segre" in hdata:
-            sdata = hdata["sing_segre"]
-            center = _require(sdata, "center", f"{fieldpath}.sing_segre")
-            arg = _int(_require(sdata, "arg", f"{fieldpath}.sing_segre"),
-                       f"{fieldpath}.sing_segre.arg")
-            try:
-                segre = segre_builtin(ambient, center, arg)
-            except ValueError as exc:
-                raise ScenarioError(f"{fieldpath}.sing_segre", str(exc)) from exc
-
-        oracle = hdata.get("oracle", {})
-        oracle_csm = (None if "csm" not in oracle else
-                      _parse_class(ambient, oracle["csm"], f"{fieldpath}.oracle.csm"))
-        oracle_chi = (None if "chi" not in oracle else
-                      _int(oracle["chi"], f"{fieldpath}.oracle.chi"))
-        hyps.append(HypersurfaceSpec(
-            name=hname, hyp=hyp, line_bundle=lb, le=le, segre=segre,
-            oracle_csm=oracle_csm, oracle_chi=oracle_chi,
-            expected=hdata.get("expected", {})))
-
-    intersection = data.get("intersection")
-    if intersection is not None:
-        for j, ref in enumerate(_require(intersection, "hypersurfaces", "intersection")):
-            if ref not in seen:
-                raise ScenarioError(f"intersection.hypersurfaces[{j}]",
-                                    f"unknown hypersurface {ref!r}")
-
-    general = data.get("general_case")
-    if general is not None:
-        _require(general, "base", "general_case")
-        _require(general, "bundle", "general_case")
-        _require(general, "milnor_tilde", "general_case")
-
-    tasks = data.get("tasks", [])
-    return Scenario(name=data.get("name", name), ambient=ambient,
-                    hypersurfaces=hyps, intersection=intersection,
-                    general_case=general, tasks=tasks)
+    present = {"hypersurfaces": bool(hyps), "intersection": intersection is not None,
+               "general_case": general is not None}
+    tasks = []
+    for i, task in enumerate(_typed(data.get("tasks", []), list, "tasks")):
+        # "verify" is the intersection cross-check; both renderings of the
+        # report are always produced, so there is no "report" task
+        kind = ("intersection" if "verify" in _typed(task, dict, f"tasks[{i}]")
+                else task.get("compute"))
+        if "report" in task or kind not in TASK_KINDS:
+            raise ScenarioError(f"tasks[{i}]", f"unknown task {task!r}: use "
+                                f"{{'compute': {'|'.join(TASK_KINDS)}}} or {{'verify': ...}}")
+        if not present[kind]:
+            raise ScenarioError(f"tasks[{i}]", f"no {kind} block to compute")
+        tasks.append(kind)
+    return Scenario(name=_typed(data.get("name", name), str, "name"), ambient=ambient,
+                    hypersurfaces=hyps, intersection=intersection, general_case=general,
+                    tasks=tasks or [kind for kind in TASK_KINDS if present[kind]])
 
 
 def load_scenario_file(path: str | Path) -> Scenario:
     p = Path(path)
     try:
         data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also text that is not UTF-8
         raise ScenarioError(str(p), f"invalid JSON: {exc}") from exc
     return parse_scenario(data, name=p.stem)
 
@@ -341,8 +402,8 @@ def _hyp_class_triple(spec: HypersurfaceSpec) -> ClassBundle3:
     return class_triple(spec.line_bundle, milnor, spec.oracle_csm)
 
 
-def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3, formulas: set[str],
-                          fieldpath: str) -> ReportSection:
+def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
+                          formulas: set[str]) -> ReportSection:
     ambient = spec.line_bundle.ambient
     sec = ReportSection(kind="hypersurface", title=f"hypersurface {spec.name}")
     sec.results["virt"] = cb.virt.render()
@@ -367,28 +428,22 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3, formulas: se
         sec.results["mu-class"] = mu.render()
         sec.results["milnor-aluffi"] = am.render()
         sec.verdicts["aluffi-agrees"] = am == cb.milnor
-    for key, want in sorted(spec.expected.items()):
+    for key, want in spec.expected.items():
+        # results hold canonical text, which is unique per class
         got = sec.results.get(key)
+        sec.verdicts[f"expected-{key}"] = got == (str(want) if key == "chi" else want.render())
         if got is None:
-            sec.verdicts[f"expected-{key}"] = False
             sec.notes.append(f"expected key {key!r} was not computed")
-        elif key == "chi":
-            sec.verdicts[f"expected-{key}"] = int(got) == _int(
-                want, f"{fieldpath}.expected.{key}")
-        else:
-            sec.verdicts[f"expected-{key}"] = (parse_class(ambient, got) == _parse_class(
-                ambient, str(want), f"{fieldpath}.expected.{key}"))
     return sec
 
 
 def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], ClassBundle3],
                           formulas: set[str]) -> ReportSection:
     block = sc.intersection
-    names = block["hypersurfaces"]
     by_name = {s.name: s for s in sc.hypersurfaces}
-    chosen = [by_name[n] for n in names]
+    chosen = [by_name[n] for n in block.names]
     sec = ReportSection(kind="intersection",
-                        title="intersection " + " + ".join(names))
+                        title="intersection " + " + ".join(block.names))
     hyps = []
     triples = []
     for spec in chosen:
@@ -403,68 +458,43 @@ def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], Cla
             hyps.append(spec.hyp)
         triples.append(triple(spec))
     scenario_obj = IntersectionScenario(sc.ambient, tuple(hyps), tuple(triples))
-    wanted = tuple(f for f in INTERSECTION_FORMULAS
+    wanted = tuple(f for f in FORMULAS
                    if not formulas or f in formulas
                    or (f.startswith("pp_") and "pp" in formulas))
-    expected = None
-    exp_block = block.get("expected", {})
-    if "milnor" in exp_block:
-        expected = _parse_class(sc.ambient, exp_block["milnor"], "intersection.expected.milnor")
     strata_ok = all(s.hyp is not None for s in chosen)
     if not strata_ok:
         wanted = tuple(f for f in wanted if not f.startswith("pp_"))
         sec.notes.append("per-stratum formulas skipped: Le-only hypersurface present")
-    cv = cross_validate(scenario_obj, expected=expected, formulas=wanted)
+    cv = cross_validate(scenario_obj, expected=block.expected, formulas=wanted)
     for result in cv.results:
         sec.results[result.name] = result.value.render()
-    if expected is not None:
-        sec.results["expected"] = expected.render()
+    if block.expected is not None:
+        sec.results["expected"] = block.expected.render()
     sec.verdicts["formulas-agree"] = cv.agree
-    support = block.get("support")
-    if support is not None and cv.results:
-        allowed = set()
-        for j, text in enumerate(support):
-            allowed.update(_parse_class(sc.ambient, text, f"intersection.support[{j}]").coeffs)
-        observed = set(cv.results[0].value.coeffs)
-        sec.verdicts["support"] = observed <= allowed
+    if block.support is not None and cv.results:
+        allowed = {mono for cls in block.support for mono in cls.coeffs}
+        sec.verdicts["support"] = set(cv.results[0].value.coeffs) <= allowed
     return sec
 
 
 def _general_case_section(sc: Scenario) -> ReportSection:
     block = sc.general_case
     sec = ReportSection(kind="general_case", title="general case")
-    base = parse_ambient(block["base"], "general_case.base")
-    bdata = block["bundle"]
-    if "line_multidegrees" in bdata:
-        e = trivial_bundle(base, 0)
-        for j, degs in enumerate(bdata["line_multidegrees"]):
-            e = direct_sum(e, line_bundle(base, _int_tuple(
-                degs, f"general_case.bundle.line_multidegrees[{j}]")))
-    elif "rank" in bdata and "chern" in bdata:
-        chern = _parse_class(base, bdata["chern"], "general_case.bundle.chern")
-        e = BundleClass(base, _int(bdata["rank"], "general_case.bundle.rank"), chern)
-    else:
-        raise ScenarioError("general_case.bundle",
-                            "needs line_multidegrees or rank+chern")
-    ring = make_bundle_ring(base, e)
-    mtilde = _parse_class(ring, block["milnor_tilde"], "general_case.milnor_tilde")
-    result = milnor_general(GeneralCaseInput(ring, mtilde))
-    sec.results["milnor-tilde"] = mtilde.render()
+    result = milnor_general(block.input)
+    sec.results["milnor-tilde"] = block.input.milnor_of_tilde.render()
     sec.results["milnor"] = result.render()
-    if "expected" in block:
-        want = _parse_class(base, block["expected"], "general_case.expected")
-        sec.results["expected"] = want.render()
-        sec.verdicts["expected-match"] = result == want
+    if block.expected is not None:
+        sec.results["expected"] = block.expected.render()
+        sec.verdicts["expected-match"] = result == block.expected
     return sec
 
 
 def run_compute(sc: Scenario, formulas: set[str] | None = None,
                 with_timing: bool = True) -> ScenarioReport:
-    """Compute every requested task of a parsed scenario into a report."""
+    """Compute every task of a parsed scenario into a report."""
     start = time.monotonic()
     formulas = formulas or set()
     report = ScenarioReport(name=sc.name)
-    tasks = sc.tasks or _default_tasks(sc)
     triples: dict[str, ClassBundle3] = {}
 
     def triple(spec: HypersurfaceSpec) -> ClassBundle3:
@@ -474,43 +504,14 @@ def run_compute(sc: Scenario, formulas: set[str] | None = None,
             triples[spec.name] = _hyp_class_triple(spec)
         return triples[spec.name]
 
-    for task in tasks:
-        if "report" in task:
-            continue  # both renderings are always produced
-        if "verify" in task:
-            # agreement verification is the intersection cross-check
-            if sc.intersection is None:
-                raise ScenarioError("tasks", "nothing to verify: no intersection block")
+    for task in sc.tasks:
+        if task == "hypersurfaces":
+            report.sections += [_hypersurface_section(spec, triple(spec), formulas)
+                                for spec in sc.hypersurfaces]
+        elif task == "intersection":
             report.sections.append(_intersection_section(sc, triple, formulas))
-            continue
-        if "compute" not in task:
-            raise ScenarioError("tasks", f"unknown task directive {task!r}")
-        target = task["compute"]
-        if target == "hypersurfaces":
-            for i, spec in enumerate(sc.hypersurfaces):
-                report.sections.append(_hypersurface_section(
-                    spec, triple(spec), formulas, f"hypersurfaces[{i}]"))
-        elif target == "intersection":
-            if sc.intersection is None:
-                raise ScenarioError("tasks", "no intersection block to compute")
-            report.sections.append(_intersection_section(sc, triple, formulas))
-        elif target == "general_case":
-            if sc.general_case is None:
-                raise ScenarioError("tasks", "no general_case block to compute")
-            report.sections.append(_general_case_section(sc))
         else:
-            raise ScenarioError("tasks", f"unknown compute target {target!r}")
+            report.sections.append(_general_case_section(sc))
     if with_timing:
         report.timing_ms = (time.monotonic() - start) * 1000.0
     return report
-
-
-def _default_tasks(sc: Scenario) -> list[dict]:
-    tasks: list[dict] = []
-    if sc.hypersurfaces:
-        tasks.append({"compute": "hypersurfaces"})
-    if sc.intersection is not None:
-        tasks.append({"compute": "intersection"})
-    if sc.general_case is not None:
-        tasks.append({"compute": "general_case"})
-    return tasks

@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
-from .chow import MultiProj, ProjSpace, parse_class
+from .chow import MultiProj, ProjBundle, ProjSpace, parse_class
 from .bundles import (
     direct_sum,
     dual,
@@ -35,7 +36,6 @@ from .intersect import IntersectionScenario, cross_validate, selector_terms
 from .lecycles import le_to_milnor, milnor_pieces, milnor_to_le
 from .projbundle import (
     GeneralCaseInput,
-    corrupted_bundle_ring,
     flat_pullback_check,
     grothendieck_residual,
     lemma_transfer,
@@ -350,7 +350,25 @@ def _intersect_gamma_corruption_detected(rng):
     assert not cross_validate(sc).agree
 
 
-def _pb_random_ring(rng, allow_corrupt=False):
+class CorruptedBundle(ProjBundle):
+    """Negative-control P(E^v) ring: the c1 term of its z-relation has the wrong sign."""
+
+    @cached_property
+    def _zeta_relations(self) -> dict[int, dict[tuple[int, ...], int]]:
+        rels = dict(super()._zeta_relations)
+        zpos = len(self.generators) - 1
+        # the c1 term is the one carrying z^(r-1)
+        rels[zpos] = {m: -c if m[zpos] == self.rank - 1 else c
+                      for m, c in rels[zpos].items()}
+        return rels
+
+
+def corrupted_bundle_ring(base, e) -> CorruptedBundle:
+    """Negative-control ring with one sign of the zeta-relation flipped."""
+    return CorruptedBundle(base, e.rank, e.chern)
+
+
+def _pb_random_ring(rng):
     base = ProjSpace(rng.choice([1, 2]))
     rank = rng.randint(1, 3)
     e = trivial_bundle(base, 0)

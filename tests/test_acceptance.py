@@ -27,7 +27,6 @@ from milnor_classes.lecycles import (
 )
 from milnor_classes.projbundle import (
     GeneralCaseInput,
-    corrupted_bundle_ring,
     flat_pullback_check,
     grothendieck_residual,
     lemma_transfer,
@@ -37,7 +36,7 @@ from milnor_classes.projbundle import (
     verify_tangent_identities,
 )
 from milnor_classes.scenario import run_compute
-from milnor_classes.verify import random_scenario, run_suite
+from milnor_classes.verify import corrupted_bundle_ring, random_scenario, run_suite
 
 P2 = ProjSpace(2)
 P3 = ProjSpace(3)

@@ -2,7 +2,7 @@
 
 Two kinds of checks run on every supported ring shape: P^n, a product of
 projective spaces, a one-level and a two-level projective bundle, and the
-relation_sign = -1 negative-control ring.
+negative-control ring with a flipped relation sign.
 
 * An external oracle (sympy, skipped when absent): the normal form of a
   product is the remainder modulo a Groebner basis of the defining ideal,
@@ -29,6 +29,7 @@ from milnor_classes.bundles import (
 )
 from milnor_classes.charclass import aluffi_tensor
 from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
+from milnor_classes.verify import CorruptedBundle
 
 
 def _split(base, degrees):
@@ -49,7 +50,7 @@ def _rings():
         "P2xP1xP1": MultiProj((2, 1, 1)),
         "bundle": ProjBundle(p2, 3, e.chern),
         "tower": ProjBundle(level1, 2, chern2),
-        "corrupted": ProjBundle(p2, 3, e.chern, relation_sign=-1),
+        "corrupted": CorruptedBundle(p2, 3, e.chern),
     }
 
 
@@ -191,7 +192,7 @@ def _symbols_and_ideal(sympy, ambient):
         for i in range(1, r + 1):
             c_i = sum((c * _monomial(inner, m) for m, c in ambient.chern.coeffs.items()
                        if sum(m) == i), sympy.Integer(0))
-            sign = (-1) ** i * (ambient.relation_sign if i == 1 else 1)
+            sign = (-1) ** i * (-1 if i == 1 and isinstance(ambient, CorruptedBundle) else 1)
             rel += sign * c_i * z ** (r - i)
         return [z] + inner, ideal + [sympy.expand(rel)]
     syms = [sympy.Symbol(g.name) for g in reversed(ambient.generators)]

@@ -13,7 +13,8 @@ from milnor_classes.intersect import (
     cross_validate,
     milnor_cor11,
     milnor_cor12,
-    milnor_pp_type,
+    milnor_pp_ais,
+    milnor_pp_full,
     milnor_thm41,
     selector_terms,
 )
@@ -94,8 +95,8 @@ class TestFixture:
         assert milnor_thm41(sc) == pt
         assert milnor_cor11(sc) == pt
         assert milnor_cor12(sc) == pt
-        assert milnor_pp_type(sc, "per_stratum_ais") == pt
-        assert milnor_pp_type(sc, "full_expansion") == pt
+        assert milnor_pp_ais(sc) == pt
+        assert milnor_pp_full(sc) == pt
 
     def test_direct_codim2_oracle(self):
         # the intersection is a nodal conic; compute its Milnor class from

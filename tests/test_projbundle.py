@@ -10,7 +10,6 @@ from milnor_classes.bundles import direct_sum, line_bundle, top_chern, trivial_b
 from milnor_classes.charclass import virtual_class
 from milnor_classes.projbundle import (
     GeneralCaseInput,
-    corrupted_bundle_ring,
     flat_pullback_check,
     grothendieck_residual,
     lemma_transfer,
@@ -22,6 +21,7 @@ from milnor_classes.projbundle import (
     taut_sub_chern,
     verify_tangent_identities,
 )
+from milnor_classes.verify import corrupted_bundle_ring
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)

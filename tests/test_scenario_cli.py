@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from milnor_classes import cli
 from milnor_classes.chow import ProjSpace, parse_class
-from milnor_classes.examples import load_fixture
+from milnor_classes.examples import list_examples, load_fixture
 from milnor_classes.scenario import (
     ScenarioError,
     load_scenario_file,
@@ -139,8 +141,7 @@ class TestReports:
 
     def test_explicit_task_directives(self):
         data = load_fixture("two_planes_cap_plane_p3") | {
-            "tasks": [{"compute": "hypersurfaces"}, {"verify": "agreement"},
-                      {"report": "both"}]}
+            "tasks": [{"compute": "hypersurfaces"}, {"verify": "agreement"}]}
         report = run_compute(parse_scenario(data))
         kinds = [s.kind for s in report.sections]
         assert kinds == ["hypersurface", "hypersurface", "intersection"]
@@ -261,6 +262,12 @@ class TestCli:
         path.write_text("{not json")
         run_cli("compute", str(path), expect=2)
 
+    def test_non_utf8_file_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xe9"}')
+        result = run_cli("compute", str(path), expect=2)
+        assert "Traceback" not in result.stderr
+
     def test_strict_failure_exit_1(self, tmp_path):
         path = tmp_path / "corrupted.json"
         path.write_text(json.dumps(load_fixture("gamma_corrupted_control_p3")))
@@ -293,3 +300,107 @@ class TestCli:
         result = run_cli("verify", "--suite", "ring", "--seed", "42")
         assert "ring.axioms: PASS" in result.stdout
         assert "verify: PASS" in result.stdout
+
+
+def _set(path, value):
+    """A mutation that sets the field at path (keys and list indices)."""
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+INPUT_ERRORS = [
+    # id, fixture, mutation, field path named in the error
+    ("multidegree-length", "general_case_p2",
+     _set(("general_case", "bundle", "line_multidegrees", 0), [1, 1]),
+     "general_case.bundle.line_multidegrees[0]"),
+    ("no-line-multidegrees", "general_case_p2",
+     _set(("general_case", "bundle", "line_multidegrees"), []), "general_case.bundle"),
+    ("rank-0", "general_case_p2",
+     _set(("general_case", "bundle"), {"rank": 0, "chern": "1"}), "general_case.bundle"),
+    ("bundle-int", "general_case_p2", _set(("general_case", "bundle"), 5),
+     "general_case.bundle"),
+    ("one-hypersurface", "two_planes_cap_plane_p3",
+     _set(("intersection", "hypersurfaces"), ["plane"]), "intersection.hypersurfaces"),
+    ("intersection-int", "two_planes_cap_plane_p3",
+     _set(("intersection", "hypersurfaces"), 3), "intersection.hypersurfaces"),
+    ("intersection-string", "two_planes_cap_plane_p3",
+     _set(("intersection", "hypersurfaces"), "plane"), "intersection.hypersurfaces"),
+    ("intersection-expected-int", "two_planes_cap_plane_p3",
+     _set(("intersection", "expected"), 3), "intersection.expected"),
+    ("task-string", "two_planes_cap_plane_p3", _set(("tasks",), ["compute"]), "tasks[0]"),
+    ("report-task", "two_planes_cap_plane_p3", _set(("tasks",), [{"report": "x"}]),
+     "tasks[0]"),
+    ("hypersurfaces-int", "nodal_cubic_p2", _set(("hypersurfaces",), 3), "hypersurfaces"),
+    ("strata-int", "nodal_cubic_p2", _set(("hypersurfaces", 0, "strata"), 3),
+     "hypersurfaces[0].strata"),
+    ("oracle-int", "nodal_cubic_p2", _set(("hypersurfaces", 0, "oracle"), 3),
+     "hypersurfaces[0].oracle"),
+    ("expected-list", "nodal_cubic_p2", _set(("hypersurfaces", 0, "expected"), [1]),
+     "hypersurfaces[0].expected"),
+    ("contained-in-string", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "strata", 1, "contained_in"), "reg"),
+     "hypersurfaces[0].strata[1].contained_in"),
+    ("hypersurface-name-list", "nodal_cubic_p2", _set(("hypersurfaces", 0, "name"), [1]),
+     "hypersurfaces[0].name"),
+    ("stratum-name-int", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "strata", 1, "name"), 5), "hypersurfaces[0].strata[1].name"),
+    ("contained-in-entry-int", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "strata", 1, "contained_in"), [1]),
+     "hypersurfaces[0].strata[1].contained_in[0]"),
+    ("intersection-entry-list", "two_planes_cap_plane_p3",
+     _set(("intersection", "hypersurfaces", 0), [1]), "intersection.hypersurfaces[0]"),
+]
+
+
+SMALL_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3), st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=1))
+
+
+def _fields(node):
+    """(container, key) for every field and list entry below node."""
+    out = []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            out += _fields(value)
+    return out
+
+
+class TestExitCodeContract:
+    """Exit 0 ok, 1 verification failure, 2 input error with a field path."""
+
+    @pytest.mark.parametrize("fixture,mutate,fieldpath",
+                             [case[1:] for case in INPUT_ERRORS],
+                             ids=[case[0] for case in INPUT_ERRORS])
+    def test_input_error_exit_2(self, tmp_path, capsys, fixture, mutate, fieldpath):
+        data = load_fixture(fixture)
+        mutate(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        # in process: any exception escaping main fails the test
+        assert cli.main(["compute", str(path), "--no-timing"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {fieldpath}: ")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_fixture_never_raises(self, tmp_path, capsys, data):
+        doc = load_fixture(data.draw(st.sampled_from(list_examples())))
+        owner, key = data.draw(st.sampled_from(_fields(doc)))
+        if data.draw(st.booleans()):
+            del owner[key]
+        else:
+            # small values only: the ambient dimension has no size budget yet
+            old_type = type(owner[key])
+            owner[key] = data.draw(SMALL_VALUES.filter(lambda v: type(v) is not old_type))
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["compute", str(path), "--no-timing"]) in (0, 1, 2)
+        capsys.readouterr()
+
