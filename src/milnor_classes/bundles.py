@@ -135,14 +135,7 @@ def tensor_line(e: BundleClass, l: BundleClass) -> BundleClass:
 
 
 def tangent_bundle(ambient: AmbientSpace) -> BundleClass:
-    """Tangent bundle of P^n or a product of projective spaces.
-
-    The tangent class of a projective-bundle total space is assembled in
-    the projbundle module from its two defining sequences.
-    """
-    if not isinstance(ambient, (ProjSpace, MultiProj)):
-        raise ValueError(
-            f"tangent_bundle supports ProjSpace and MultiProj only, got {ambient!r}")
+    """Tangent bundle of any supported ambient, from its cached c(TM)."""
     return BundleClass(ambient, ambient.dimension, ambient.tangent_chern)
 
 

@@ -37,18 +37,16 @@ from .strata import StratifiedHypersurface, gamma_weights
 
 @dataclass(frozen=True)
 class ClassBundle3:
-    """The three classes of one subvariety, plus its codimension."""
+    """The virtual, CSM and Milnor classes of one hypersurface."""
 
     virt: CycleClass
     csm: CycleClass
     milnor: CycleClass
-    codim: int
 
     def definition_identity_holds(self) -> bool:
-        """milnor = (-1)^(dim M - codim) (virt - csm), exactly."""
+        """milnor = (-1)^(dim M - 1) (virt - csm), exactly."""
         n = self.virt.ambient.dimension
-        sign = -1 if (n - self.codim) % 2 else 1
-        return self.milnor == (self.virt - self.csm).scale(sign)
+        return self.csm == csm_from_milnor(self.virt, self.milnor, n, 1)
 
 
 def virtual_class(ambient: AmbientSpace, e: BundleClass, x_class: CycleClass) -> CycleClass:
@@ -169,7 +167,7 @@ def class_triple(l: BundleClass, milnor: CycleClass,
         csm = csm_oracle
     else:
         csm = csm_from_milnor(virt, milnor, ambient.dimension, 1)
-    return ClassBundle3(virt=virt, csm=csm, milnor=milnor, codim=1)
+    return ClassBundle3(virt=virt, csm=csm, milnor=milnor)
 
 
 def hypersurface_classes(hyp: StratifiedHypersurface,

@@ -276,15 +276,20 @@ class ProjBundle(AmbientSpace):
         return self.base.from_coeffs(out)
 
     @cached_property
-    def tangent_chern(self) -> "CycleClass":
-        # c(TP(E^v)) = c(p*T_base) c(p*E^v (x) O(1)), from the relative
-        # tangent sequence together with the twisted Euler sequence
-        from .bundles import BundleClass, dual, tensor_line
+    def relative_tangent_chern(self) -> "CycleClass":
+        """c(p*E^v (x) O(1)), the relative tangent class by the twisted Euler sequence.
 
-        e = BundleClass(self.base, self.rank, self.chern)
-        e_pull = BundleClass(self, self.rank, self.pullback(dual(e).chern))
-        o1 = BundleClass(self, 1, self.one() + self.zeta())
-        return self.pullback(self.base.tangent_chern) * tensor_line(e_pull, o1).chern
+        Built from raw Chern data, so a ring with a corrupted relation gives a
+        wrong class rather than an exception.
+        """
+        from .bundles import twist_chern
+
+        return twist_chern(self.pullback(self.chern).dual(), self.rank, self.zeta())
+
+    @cached_property
+    def tangent_chern(self) -> "CycleClass":
+        # c(TP(E^v)) = c(p*T_base) c(T_rel), from the relative tangent sequence
+        return self.pullback(self.base.tangent_chern) * self.relative_tangent_chern
 
     def __eq__(self, other: object) -> bool:
         return (type(other) is type(self)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .chow import AmbientSpace, CycleClass
 from .bundles import direct_sum, tangent_bundle, trivial_bundle
-from .charclass import ClassBundle3
+from .charclass import ClassBundle3, milnor_pp
 from .strata import StratifiedHypersurface, gamma_weights
 
 
@@ -68,13 +68,13 @@ def selector_terms(sc: IntersectionScenario) -> list[tuple[tuple[int, ...], int,
     """
     n = sc.ambient.dimension
     r = sc.r
-    d = [cb.codim for cb in sc.classes]
     prefactor_sign = -1 if (n * (r - 1)) % 2 else 1
     terms = []
     for selector in itertools.product((0, 1), repeat=r):
         if all(selector):
             continue
-        exponent = sum((n - d[i]) * e for i, e in enumerate(selector))
+        # every factor is a hypersurface: codimension d_i = 1
+        exponent = (n - 1) * sum(selector)
         sign = prefactor_sign * (-1 if exponent % 2 else 1)
         product = sc.ambient.one()
         for i, e in enumerate(selector):
@@ -135,24 +135,9 @@ def milnor_cor12(sc: IntersectionScenario) -> CycleClass:
 
 def milnor_pp_ais(sc: IntersectionScenario) -> CycleClass:
     """Telescoped sum with each factor's Milnor class expanded into its strata."""
-    ambient = sc.ambient
-    r = sc.r
-    total = ambient.zero()
-    for i in range(1, r + 1):
-        hyp = sc.hyps[i - 1]
-        gammas = gamma_weights(hyp)
-        l_inv = hyp.line_bundle.chern.inverse()
-        a_product = ambient.one()
-        for j in range(1, r):
-            a_product = a_product * (sc.classes[j].virt if j >= i
-                                     else sc.classes[j - 1].csm)
-        for s in hyp.singular_strata:
-            g = gammas[s.name]
-            if g == 0:
-                continue
-            total = total + (a_product * l_inv * s.csm_closure).scale(g)
-    total = total.scale(-1 if (r - 1) % 2 else 1)
-    return _inv_tangent_power(ambient, r - 1) * total
+    return telescoped_sum([cb.virt for cb in sc.classes],
+                          [cb.csm for cb in sc.classes],
+                          [milnor_pp(h) for h in sc.hyps])
 
 
 def milnor_pp_full(sc: IntersectionScenario) -> CycleClass:

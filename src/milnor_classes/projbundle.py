@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chow import AmbientSpace, CycleClass, ProjBundle
-from .bundles import BundleClass, dual, tensor_line, top_chern, twist_chern
+from .bundles import BundleClass, top_chern, twist_chern
 
 
 def make_bundle_ring(base: AmbientSpace, e: BundleClass) -> ProjBundle:
@@ -38,13 +38,6 @@ def make_bundle_ring(base: AmbientSpace, e: BundleClass) -> ProjBundle:
 def o1(ring: ProjBundle) -> BundleClass:
     """The tautological quotient line bundle O(1)."""
     return BundleClass(ring, 1, ring.one() + ring.zeta())
-
-
-def pulled_bundle(ring: ProjBundle, e: BundleClass) -> BundleClass:
-    """p*E for a bundle E on the base."""
-    if e.ambient != ring.base:
-        raise ValueError("bundle does not live on the base of this ring")
-    return BundleClass(ring, e.rank, ring.pullback(e.chern))
 
 
 def _raw_sub_chern(ring: ProjBundle) -> CycleClass:
@@ -71,12 +64,6 @@ class TangentCheck:
         return "PASS" if self.ok else "FAIL"
 
 
-def relative_tangent_chern(ring: ProjBundle) -> CycleClass:
-    """c of the relative tangent bundle, via the twisted Euler sequence."""
-    e = BundleClass(ring.base, ring.rank, ring.chern)
-    return tensor_line(pulled_bundle(ring, dual(e)), o1(ring)).chern
-
-
 def verify_tangent_identities(ring: ProjBundle) -> TangentCheck:
     """Two routes to the relative tangent class must agree exactly.
 
@@ -87,7 +74,7 @@ def verify_tangent_identities(ring: ProjBundle) -> TangentCheck:
     flipping a relation sign breaks it.  Computed on raw Chern data so a
     corrupted ring yields a FAIL verdict rather than an exception.
     """
-    via_dual = relative_tangent_chern(ring)
+    via_dual = ring.relative_tangent_chern
     via_sub = twist_chern(_raw_sub_chern(ring).dual(), ring.rank - 1, ring.zeta())
     # the twisted dual has formal rank r but must reduce to a rank r-1
     # class; its codim >= r parts vanish exactly when the relation holds
@@ -119,7 +106,7 @@ def milnor_general(inp: GeneralCaseInput) -> CycleClass:
     ring = inp.ring
     zeta = ring.zeta()
     f = taut_sub_chern(ring)
-    kernel = (relative_tangent_chern(ring).inverse()
+    kernel = (ring.relative_tangent_chern.inverse()
               * zeta ** (ring.rank - 1)
               * f.chern.inverse()
               * top_chern(f))

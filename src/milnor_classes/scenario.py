@@ -52,6 +52,12 @@ class ScenarioError(ValueError):
 # -- parsing -------------------------------------------------------------------
 
 TASK_KINDS = ("hypersurfaces", "intersection", "general_case")
+# hypersurface result keys an `expected` block may name, with the data
+# fields each one needs; --formula can still leave mu-class unset
+RESULT_NEEDS = {"virt": (), "csm": (), "milnor": (), "chi": (),
+                "milnor-le": ("strata", "le_cycles"),
+                "mu-class": ("strata", "sing_segre"),
+                "milnor-aluffi": ("strata", "sing_segre")}
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -236,8 +242,13 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
     epath = f"{fieldpath}.expected"
     expected = {}
     for key, want in sorted(_typed(hdata.get("expected", {}), dict, epath).items()):
-        expected[key] = (_int(want, f"{epath}.{key}") if key == "chi"
-                         else _parse_class(ambient, want, f"{epath}.{key}"))
+        kpath = f"{epath}.{key}"
+        if key not in RESULT_NEEDS:
+            raise ScenarioError(kpath, f"unknown result key; choose from {sorted(RESULT_NEEDS)}")
+        if any(need not in hdata for need in RESULT_NEEDS[key]):
+            raise ScenarioError(kpath, f"needs {' and '.join(RESULT_NEEDS[key])} data")
+        expected[key] = (_int(want, kpath) if key == "chi"
+                         else _parse_class(ambient, want, kpath))
     return HypersurfaceSpec(name=hname, hyp=hyp, line_bundle=lb, le=le, segre=segre,
                             oracle_csm=oracle_csm, oracle_chi=oracle_chi,
                             expected=expected)
@@ -305,6 +316,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
 
     present = {"hypersurfaces": bool(hyps), "intersection": intersection is not None,
                "general_case": general is not None}
+    if not any(present.values()):
+        raise ScenarioError("scenario", "nothing to compute: give hypersurfaces, "
+                            "an intersection or a general_case block")
     tasks = []
     for i, task in enumerate(_typed(data.get("tasks", []), list, "tasks")):
         # "verify" is the intersection cross-check; both renderings of the

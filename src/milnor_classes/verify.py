@@ -2,9 +2,10 @@
 
 Each suite is a list of named properties; a property draws its own random
 cases from a deterministic generator and raises AssertionError on the
-first counterexample.  The pytest suite covers the same ground with
-hypothesis; this module exists so that verification is scriptable with an
-explicit seed and stable output.
+first counterexample.  SUITES is the one statement of every randomized
+property: the verify subcommand runs it with an explicit seed and stable
+output, and pytest runs every suite on seeds 0, 1 and 2
+(tests/test_verify_suites.py).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .strata import (
 AMBIENTS = [ProjSpace(2), ProjSpace(3), MultiProj((1, 1)), MultiProj((2, 1))]
 
 
-def _random_class(rng: random.Random, ambient, terms=4, lo=-9, hi=9):
+def _random_class(rng: random.Random, ambient, terms=5, lo=-9, hi=9):
     caps = [g.cap for g in ambient.generators]
     coeffs = {}
     for _ in range(rng.randint(0, terms)):
@@ -122,6 +123,7 @@ def _ring_axioms(rng):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * ambient.one() == a
+    assert (a + (-a)).is_zero()
 
 
 def _ring_inverse(rng):
@@ -176,7 +178,9 @@ def _bundle_twist_oracle(rng):
     oracle = trivial_bundle(ambient, 0)
     for d in degrees:
         oracle = direct_sum(oracle, line_bundle(ambient, d + b))
-    assert tensor_line(e, line_bundle(ambient, b)) == oracle
+    twisted = tensor_line(e, line_bundle(ambient, b))
+    assert twisted == oracle
+    assert twisted.c(1) == e.c(1) + line_bundle(ambient, b).c1().scale(e.rank)
 
 
 def _bundle_trivial_twist(rng):

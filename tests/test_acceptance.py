@@ -5,7 +5,6 @@ time themselves.  Each test prints one PASS line when its criterion holds
 (visible with pytest -s or in the captured output of a failing run).
 """
 
-import random
 import time
 
 from milnor_classes.chow import ProjSpace, parse_class
@@ -18,25 +17,19 @@ from milnor_classes.charclass import (
     virtual_class,
 )
 from milnor_classes.examples import fixture_scenario, run_example
-from milnor_classes.intersect import IntersectionScenario, cross_validate, milnor_cor11
-from milnor_classes.lecycles import (
-    le_to_milnor,
-    milnor_from_le_intersection,
-    milnor_pieces,
-    milnor_to_le,
-)
+from milnor_classes.intersect import IntersectionScenario, milnor_cor11
+from milnor_classes.lecycles import milnor_from_le_intersection, milnor_pieces, milnor_to_le
 from milnor_classes.projbundle import (
     GeneralCaseInput,
-    flat_pullback_check,
     grothendieck_residual,
     lemma_transfer,
     make_bundle_ring,
     milnor_general,
-    projection_formula_check,
     verify_tangent_identities,
 )
 from milnor_classes.scenario import run_compute
-from milnor_classes.verify import corrupted_bundle_ring, random_scenario, run_suite
+from milnor_classes.verify import corrupted_bundle_ring, run_suite
+from test_verify_suites import run_property
 
 P2 = ProjSpace(2)
 P3 = ProjSpace(3)
@@ -116,29 +109,15 @@ def test_quadric_cone_cap_vertex_avoiding_plane():
 
 
 def test_four_formula_agreement_randomized():
-    rng = random.Random(1234)
     start = time.monotonic()
-    for _ in range(200):
-        cv = cross_validate(random_scenario(rng))
-        assert cv.agree, "\n".join(cv.render_lines())
+    run_property("intersect", "four-formula-agreement")  # 200 random scenarios
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"agreement suite took {elapsed:.1f}s"
     _passed(f"four-formula-agreement-200 ({elapsed:.2f}s)")
 
 
 def test_le_round_trip_and_intersection_equality():
-    rng = random.Random(99)
-    h = P3.gen(0)
-    for _ in range(100):
-        l = line_bundle(P3, rng.randint(1, 4))
-        m = {}
-        c1, c0 = rng.randint(-9, 9), rng.randint(-9, 9)
-        if c1:
-            m[1] = (h * h).scale(c1)
-        if c0:
-            m[0] = (h ** 3).scale(c0)
-        le = milnor_to_le(m, l, ambient=P3)
-        assert le_to_milnor(le, l) == m
+    run_property("lecycles", "roundtrip")
     # corollary route equals the telescoped route on intersection fixtures
     for name in ("two_planes_cap_plane_p3", "quadric_cone_cap_plane_p3"):
         sc_file = fixture_scenario(name)
@@ -157,8 +136,7 @@ def test_le_round_trip_and_intersection_equality():
 
 def test_projective_bundle_identities():
     p1 = ProjSpace(1)
-    rng = random.Random(5)
-    # Grothendieck vanishing and projection formula
+    # Grothendieck vanishing and the tangent identities on fixed bundles
     from milnor_classes.bundles import trivial_bundle
     for degrees, base in [([1, 2], p1), ([0, 0], p1), ([-1, 3], p1),
                           ([1, 1], P2), ([2, -1, 1], P2)]:
@@ -167,16 +145,9 @@ def test_projective_bundle_identities():
             e = direct_sum(e, line_bundle(base, d))
         ring = make_bundle_ring(base, e)
         assert grothendieck_residual(ring).is_zero()
-        for _ in range(20):
-            alpha = base.from_coeffs(
-                {(rng.randint(0, base.dimension),): rng.randint(-5, 5)
-                 for _ in range(2)})
-            beta = ring.from_coeffs(
-                {(rng.randint(0, base.dimension), rng.randint(0, ring.rank - 1)):
-                 rng.randint(-5, 5) for _ in range(2)})
-            assert projection_formula_check(ring, alpha, beta)
-            assert flat_pullback_check(ring, alpha)
         assert verify_tangent_identities(ring).ok
+    # projection formula and flat pullback on random bundles and classes
+    run_property("projbundle", "projection-formula")
     # Lemma-2 split check on a grid of twists
     for a, b in [(0, 1), (1, 1), (1, 2), (-1, 2), (3, 2), (2, 2)]:
         g = direct_sum(line_bundle(P2, a), line_bundle(P2, b))

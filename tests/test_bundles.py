@@ -1,7 +1,6 @@
 """Bundle calculus: Whitney formula, duals, twists, tangent bundles."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from milnor_classes.chow import MultiProj, ProjSpace
 from milnor_classes.bundles import (
@@ -15,17 +14,10 @@ from milnor_classes.bundles import (
     top_chern,
     trivial_bundle,
 )
+from test_verify_suites import run_property
 
 P2 = ProjSpace(2)
 P3 = ProjSpace(3)
-
-
-def split_bundle(ambient, degrees):
-    """Direct sum of line bundles; the splitting-principle oracle's input."""
-    e = trivial_bundle(ambient, 0)
-    for d in degrees:
-        e = direct_sum(e, line_bundle(ambient, d))
-    return e
 
 
 class TestConstructors:
@@ -77,11 +69,8 @@ class TestDual:
         assert d.c(1) == -e.c(1)
         assert d.c(2) == e.c(2)
 
-    @given(st.lists(st.integers(-3, 3), min_size=0, max_size=4))
-    @settings(max_examples=60, deadline=None)
-    def test_involution(self, degrees):
-        e = split_bundle(P3, degrees)
-        assert dual(dual(e)) == e
+    def test_involution(self):
+        run_property("bundle", "dual-involution")
 
 
 class TestTensorLine:
@@ -108,23 +97,11 @@ class TestTensorLine:
         with pytest.raises(ValueError):
             tensor_line(line_bundle(P3, 1), e)
 
-    @given(st.lists(st.integers(-3, 3), min_size=0, max_size=4),
-           st.integers(-3, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_against_splitting_oracle(self, degrees, b):
-        # oracle: twist each line summand separately, then sum
-        e = split_bundle(P3, degrees)
-        twisted = tensor_line(e, line_bundle(P3, b))
-        oracle = split_bundle(P3, [d + b for d in degrees])
-        assert twisted == oracle
+    def test_against_splitting_oracle(self):
+        run_property("bundle", "twist-oracle")
 
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
-           st.integers(-3, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_c1_shift(self, degrees, b):
-        e = split_bundle(P3, degrees)
-        t = tensor_line(e, line_bundle(P3, b))
-        assert t.c(1) == e.c(1) + line_bundle(P3, b).c1().scale(e.rank)
+    def test_c1_shift(self):
+        run_property("bundle", "twist-oracle")
 
 
 class TestTangent:
@@ -151,11 +128,13 @@ class TestTangent:
         assert tangent_bundle(P3).chern.degree() == 4
         assert tangent_bundle(MultiProj((1, 1))).chern.degree() == 4
 
-    def test_rejects_projbundle(self):
-        from milnor_classes.chow import ProjBundle
-        pb = ProjBundle(ProjSpace(1), 2, line_bundle(ProjSpace(1), 0).chern * line_bundle(ProjSpace(1), 0).chern)
-        with pytest.raises(ValueError):
-            tangent_bundle(pb)
+    def test_projbundle(self):
+        from milnor_classes.projbundle import make_bundle_ring
+        ring = make_bundle_ring(P2, direct_sum(line_bundle(P2, 1), line_bundle(P2, 2)))
+        t = tangent_bundle(ring)
+        assert t.rank == ring.dimension == 3
+        assert t.chern == ring.tangent_chern
+        assert t.chern.degree() == 6  # a P^1-bundle over P^2: chi = 2 * 3
 
 
 class TestTopChern:
@@ -170,27 +149,13 @@ class TestTopChern:
     def test_rank0(self):
         assert top_chern(trivial_bundle(P3, 0)) == P3.one()
 
-    @given(st.lists(st.integers(-4, 4), min_size=2, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_bezout(self, degrees):
-        # n line bundles on P^n: degree of the top Chern class is the product
-        amb = ProjSpace(len(degrees))
-        e = split_bundle(amb, degrees)
-        expected = 1
-        for d in degrees:
-            expected *= d
-        assert top_chern(e).degree() == expected
+    def test_bezout(self):
+        run_property("bundle", "bezout")
 
 
 class TestWhitneyProperty:
-    @given(st.lists(st.integers(-3, 3), min_size=0, max_size=3),
-           st.lists(st.integers(-3, 3), min_size=0, max_size=3))
-    @settings(max_examples=80, deadline=None)
-    def test_whitney(self, da, db):
-        e, f = split_bundle(P3, da), split_bundle(P3, db)
-        s = direct_sum(e, f)
-        assert s.chern == e.chern * f.chern
-        assert s.rank == e.rank + f.rank
+    def test_whitney(self):
+        run_property("bundle", "whitney")
 
     def test_bundle_power(self):
         t = tangent_bundle(P3)

@@ -1,7 +1,6 @@
 """Ring axioms and normal-form behavior of the truncated Chow rings."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from milnor_classes.chow import (
     AmbientMismatchError,
@@ -12,38 +11,11 @@ from milnor_classes.chow import (
     parse_class,
 )
 from milnor_classes.bundles import direct_sum, line_bundle
+from test_verify_suites import run_property
 
 P2 = ProjSpace(2)
 P3 = ProjSpace(3)
 P1xP1 = MultiProj((1, 1))
-
-AMBIENTS = [P2, P3, P1xP1, MultiProj((2, 1))]
-
-
-def random_class(draw, ambient, lo=-9, hi=9):
-    caps = [g.cap for g in ambient.generators]
-    n_terms = draw(st.integers(0, 5))
-    coeffs = {}
-    for _ in range(n_terms):
-        mono = tuple(draw(st.integers(0, cap)) for cap in caps)
-        coeffs[mono] = draw(st.integers(lo, hi))
-    return ambient.from_coeffs(coeffs)
-
-
-@st.composite
-def ambient_and_classes(draw, count=2):
-    ambient = draw(st.sampled_from(AMBIENTS))
-    return ambient, [random_class(draw, ambient) for _ in range(count)]
-
-
-@st.composite
-def ambient_and_unit(draw):
-    ambient = draw(st.sampled_from(AMBIENTS))
-    a = random_class(draw, ambient)
-    unit = draw(st.sampled_from([1, -1]))
-    # force the degree-0 part to be the chosen unit
-    a = a - a.component(0) + ambient.from_int(unit)
-    return ambient, a
 
 
 class TestMakeAmbient:
@@ -164,45 +136,22 @@ class TestGrading:
 
 
 class TestProperties:
-    @given(ambient_and_classes(count=3))
-    @settings(max_examples=150, deadline=None)
-    def test_ring_axioms(self, data):
-        ambient, (a, b, c) = data
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a * ambient.one() == a
-        assert (a + (-a)).is_zero()
+    """The randomized ring axioms are stated once, in verify.SUITES["ring"]."""
 
-    @given(ambient_and_unit())
-    @settings(max_examples=150, deadline=None)
-    def test_inverse_roundtrip(self, data):
-        ambient, a = data
-        assert a * a.inverse() == ambient.one()
+    def test_ring_axioms(self):
+        run_property("ring", "axioms")
 
-    @given(ambient_and_classes(count=2))
-    @settings(max_examples=100, deadline=None)
-    def test_grading_of_products(self, data):
-        ambient, (a, b) = data
-        prod = a * b
-        for k in range(ambient.dimension + 1):
-            pieces = ambient.zero()
-            for i in range(k + 1):
-                pieces = pieces + a.component(i) * b.component(k - i)
-            assert prod.component(k) == pieces
+    def test_inverse_roundtrip(self):
+        run_property("ring", "inverse")
 
-    @given(ambient_and_classes(count=2))
-    @settings(max_examples=100, deadline=None)
-    def test_degree_additive(self, data):
-        ambient, (a, b) = data
-        assert (a + b).degree() == a.degree() + b.degree()
+    def test_grading_of_products(self):
+        run_property("ring", "grading")
 
-    @given(ambient_and_classes(count=1))
-    @settings(max_examples=150, deadline=None)
-    def test_render_parse_roundtrip(self, data):
-        ambient, (a,) = data
-        assert parse_class(ambient, a.render()) == a
+    def test_degree_additive(self):
+        run_property("ring", "degree-additive")
+
+    def test_render_parse_roundtrip(self):
+        run_property("ring", "render-roundtrip")
 
 
 class TestRendering:

@@ -1,8 +1,5 @@
 """Cross-validation of the four intersection Milnor-class formulas."""
 
-import random
-import time
-
 import pytest
 
 from milnor_classes.chow import ProjSpace, parse_class
@@ -24,6 +21,7 @@ from milnor_classes.strata import (
     linear_closure,
     point_closure,
 )
+from test_verify_suites import run_property
 
 P2 = ProjSpace(2)
 P3 = ProjSpace(3)
@@ -53,37 +51,6 @@ TWO_PLANES = make_hyp("two_planes", P3, 2,
 PLANE = make_hyp("plane", P3, 1)
 QUADRIC_CONE = make_hyp("quadric_cone", P3, 2,
                         [("vertex", 0, 2, "points", 1, {"reg"})])
-
-
-def random_hyp(rng, ambient, name):
-    n = ambient.dimension
-    d = rng.randint(1, 3)
-    lb = line_bundle(ambient, d)
-    strata = [Stratum("reg", dim=n - 1, milnor_fiber_chi=1, closure_class=lb.c1())]
-    kind = rng.choice(["smooth", "points", "points", "line", "chain"])
-    if kind in ("line", "chain") and n < 3:
-        kind = "points"
-    if kind == "points":
-        cl, csm = point_closure(ambient, rng.randint(1, 3))
-        strata.append(Stratum("pts", dim=0, milnor_fiber_chi=rng.choice([-2, -1, 0, 2, 3]),
-                              closure_class=cl, csm_closure=csm, contained_in={"reg"}))
-    elif kind in ("line", "chain"):
-        cl, csm = linear_closure(ambient, 1)
-        strata.append(Stratum("line", dim=1, milnor_fiber_chi=rng.choice([-1, 0, 2]),
-                              closure_class=cl, csm_closure=csm, contained_in={"reg"}))
-        if kind == "chain":
-            pcl, pcsm = point_closure(ambient, 1)
-            strata.append(Stratum("pt", dim=0, milnor_fiber_chi=rng.choice([-2, 0, 3]),
-                                  closure_class=pcl, csm_closure=pcsm,
-                                  contained_in={"reg", "line"}))
-    return StratifiedHypersurface(name, ambient, lb, tuple(strata))
-
-
-def random_scenario(rng):
-    ambient = ProjSpace(rng.choice([2, 3]))
-    r = rng.choice([2, 2, 3])
-    hyps = tuple(random_hyp(rng, ambient, f"X{i}") for i in range(r))
-    return scenario(*hyps)
 
 
 class TestFixture:
@@ -191,13 +158,7 @@ class TestNonzeroTripleIntersection:
 
 class TestRandomizedAgreement:
     def test_four_formula_agreement_200(self):
-        rng = random.Random(20240101)
-        start = time.monotonic()
-        for _ in range(200):
-            cv = cross_validate(random_scenario(rng))
-            assert cv.agree, "\n".join(cv.render_lines())
-        elapsed = time.monotonic() - start
-        assert elapsed < 10.0
+        run_property("intersect", "four-formula-agreement")
 
     def test_report_rendering(self):
         cv = cross_validate(scenario(TWO_PLANES, PLANE))

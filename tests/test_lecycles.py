@@ -15,12 +15,8 @@ from milnor_classes.lecycles import (
     milnor_pieces,
     milnor_to_le,
 )
-from milnor_classes.strata import (
-    StratifiedHypersurface,
-    Stratum,
-    linear_closure,
-    point_closure,
-)
+from milnor_classes.strata import StratifiedHypersurface, Stratum, linear_closure
+from test_verify_suites import run_property
 
 P2 = ProjSpace(2)
 P3 = ProjSpace(3)
@@ -97,22 +93,7 @@ class TestRoundTrip:
         assert le[0] == (h ** 3).scale(2)
 
     def test_random_roundtrip(self):
-        rng = random.Random(11)
-        h = P3.gen(0)
-        l = line_bundle(P3, 3)
-        for _ in range(120):
-            m = {}
-            c0 = rng.randint(-9, 9)
-            c1 = rng.randint(-9, 9)
-            if c0:
-                m[0] = (h ** 3).scale(c0)
-            if c1:
-                m[1] = (h * h).scale(c1)
-            le = milnor_to_le(m, l, ambient=P3)
-            back = le_to_milnor(le, l)
-            assert back == m
-            # and the other direction
-            assert milnor_to_le(back, l, ambient=P3) == le
+        run_property("lecycles", "roundtrip")
 
     def test_isolated_support_property(self):
         # dim Sing = 0: Lambda_0 = M_0 and nothing higher
@@ -178,36 +159,4 @@ class TestIntersectionFromLe:
         assert result == cb.milnor
 
     def test_equality_with_cor11_randomized(self):
-        from milnor_classes.intersect import IntersectionScenario, milnor_cor11
-
-        rng = random.Random(3)
-        for _ in range(30):
-            hyps = []
-            for i in range(2):
-                d = rng.randint(1, 3)
-                lb = line_bundle(P3, d)
-                strata = [Stratum("reg", dim=2, milnor_fiber_chi=1,
-                                  closure_class=lb.c1())]
-                if rng.random() < 0.8:
-                    kind = rng.choice(["points", "linear"])
-                    if kind == "points":
-                        cl, csm = point_closure(P3, rng.randint(1, 3))
-                        strata.append(Stratum("pts", dim=0,
-                                              milnor_fiber_chi=rng.choice([-1, 0, 2]),
-                                              closure_class=cl, csm_closure=csm,
-                                              contained_in={"reg"}))
-                    else:
-                        cl, csm = linear_closure(P3, 1)
-                        strata.append(Stratum("line", dim=1,
-                                              milnor_fiber_chi=rng.choice([-1, 0, 2]),
-                                              closure_class=cl, csm_closure=csm,
-                                              contained_in={"reg"}))
-                hyps.append(StratifiedHypersurface(f"X{i}", P3, lb, tuple(strata)))
-            cbs = tuple(hypersurface_classes(h) for h in hyps)
-            les = [milnor_to_le(milnor_pieces(cb.milnor), h.line_bundle, ambient=P3)
-                   for h, cb in zip(hyps, cbs)]
-            result = milnor_from_le_intersection(
-                list(zip(les, (h.line_bundle for h in hyps))),
-                [cb.virt for cb in cbs], [cb.csm for cb in cbs])
-            sc = IntersectionScenario(P3, tuple(hyps), cbs)
-            assert result == milnor_cor11(sc)
+        run_property("lecycles", "intersection-equality")

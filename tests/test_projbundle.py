@@ -1,7 +1,6 @@
 """Projective-bundle ring identities and the general-case reduction."""
 
 import itertools
-import random
 
 import pytest
 
@@ -16,12 +15,11 @@ from milnor_classes.projbundle import (
     make_bundle_ring,
     milnor_general,
     o1,
-    projection_formula_check,
-    relative_tangent_chern,
     taut_sub_chern,
     verify_tangent_identities,
 )
 from milnor_classes.verify import corrupted_bundle_ring
+from test_verify_suites import run_property
 
 P1 = ProjSpace(1)
 P2 = ProjSpace(2)
@@ -79,24 +77,13 @@ class TestPushforward:
         assert ring.pushforward(ring.zeta() ** 2) == P1.gen(0).scale(3)
 
     def test_projection_formula_randomized(self):
-        rng = random.Random(5)
-        ring = split_ring(P2, [1, 1])
-        for _ in range(100):
-            alpha = P2.from_coeffs(
-                {(rng.randint(0, 2),): rng.randint(-5, 5) for _ in range(3)})
-            beta = ring.from_coeffs(
-                {(rng.randint(0, 2), rng.randint(0, 1)): rng.randint(-5, 5)
-                 for _ in range(3)})
-            assert projection_formula_check(ring, alpha, beta)
+        # also the flat-pullback shadow on random classes
+        run_property("projbundle", "projection-formula")
 
     def test_flat_pullback_shadow(self):
-        rng = random.Random(6)
         ring = split_ring(P2, [2, -1])
         assert flat_pullback_check(ring, P2.one())
-        for _ in range(50):
-            alpha = P2.from_coeffs(
-                {(rng.randint(0, 2),): rng.randint(-7, 7) for _ in range(3)})
-            assert flat_pullback_check(ring, alpha)
+        assert flat_pullback_check(ring, P2.gen(0).scale(-7) + P2.point_class().scale(3))
 
     def test_corrupted_pushforward_fails(self):
         # negative control: reading the wrong zeta power breaks the identity
@@ -223,7 +210,7 @@ class TestO1:
         # the relative tangent class is the usual (1+h)^r mod h^r
         p0 = ProjSpace(0)
         ring = make_bundle_ring(p0, trivial_bundle(p0, 3))
-        t = relative_tangent_chern(ring)
+        t = ring.relative_tangent_chern
         z = ring.zeta()
         assert t == (ring.one() + z) ** 3
         assert o1(ring).c1() == z

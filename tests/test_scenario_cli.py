@@ -352,6 +352,16 @@ INPUT_ERRORS = [
      "hypersurfaces[0].strata[1].contained_in[0]"),
     ("intersection-entry-list", "two_planes_cap_plane_p3",
      _set(("intersection", "hypersurfaces", 0), [1]), "intersection.hypersurfaces[0]"),
+    ("nothing-to-compute", "nodal_cubic_p2", _set(("hypersurfaces",), []), "scenario"),
+    ("expected-unknown-key", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "expected", "milnor "), "h^2"),
+     "hypersurfaces[0].expected.milnor "),
+    ("expected-mu-class-without-segre", "two_planes_le_route_p3",
+     _set(("hypersurfaces", 0, "expected", "mu-class"), "h^2"),
+     "hypersurfaces[0].expected.mu-class"),
+    ("expected-milnor-le-without-le", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "expected", "milnor-le"), "h^2"),
+     "hypersurfaces[0].expected.milnor-le"),
 ]
 
 
