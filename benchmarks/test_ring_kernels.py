@@ -6,10 +6,15 @@ Multiply, inverse and the Aluffi line twist on three ring shapes: P^200
 (one truncate generator, long dense classes), P^4 x P^4 x P^4 (several
 truncate generators, many terms per codimension) and a two-level tower of
 projective bundles (rewrite generators reduced through both relations).
-Operands are total tangent classes, dense in every codimension.  Each
+Operands are total tangent classes, dense in every codimension.  The
+normal-form cases reduce on a fresh ring per round, so each round pays
+for every rewrite: `from_coeffs` of every monomial of top degree on the
+tower, and `parse_class` of z^999 on P(O(1)+O(1)) over P^1000.  Each
 case checks its result once outside the timed calls.  The default
 `pytest` run collects only `tests/`, so these run only when named.
 """
+
+from itertools import product
 
 import pytest
 
@@ -20,7 +25,7 @@ from milnor_classes.bundles import (
     trivial_bundle,
 )
 from milnor_classes.charclass import aluffi_tensor
-from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace
+from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
 
 
 def _tower() -> ProjBundle:
@@ -77,3 +82,35 @@ def test_aluffi_tensor(benchmark, case):
     tangent, l = case
     twisted = benchmark(aluffi_tensor, tangent, l)
     assert twisted.component(0) == tangent.component(0)
+
+
+def _fresh(make, *args):
+    return lambda: ((make(), *args), {})
+
+
+def test_normal_form_top_degree(benchmark):
+    dim = _tower().dimension
+    monos = [m for m in product(range(dim + 1), repeat=3) if sum(m) == dim]
+    coeffs = {m: k + 1 for k, m in enumerate(monos)}
+    reduced = benchmark.pedantic(ProjBundle.from_coeffs, setup=_fresh(_tower, coeffs),
+                                 rounds=20)
+    # every top-degree normal form is a multiple of the point class, and
+    # so is the same sum built from generator powers by multiplication
+    ring = _tower()
+    gens = [ring.gen(i) for i in range(3)]
+    total = ring.zero()
+    for m, c in coeffs.items():
+        total = total + (gens[0] ** m[0] * gens[1] ** m[1] * gens[2] ** m[2]).scale(c)
+    assert set(reduced.coeffs) <= {ring.top_monomial}
+    assert reduced.coeffs == total.coeffs
+
+
+def _p1000_ring():
+    base = ProjSpace(1000)
+    return ProjBundle(base, 2, direct_sum(line_bundle(base, 1), line_bundle(base, 1)).chern)
+
+
+def test_parse_high_z_power(benchmark):
+    power = benchmark.pedantic(parse_class, setup=_fresh(_p1000_ring, "z^999"), rounds=10)
+    # (z - h)^2 = 0 gives z^N = N h^(N-1) z - (N-1) h^N
+    assert power.coeffs == {(998, 1): 999, (999, 0): -998}

@@ -11,6 +11,12 @@ tautological class per bundle level), kept in normal form:
   z^r = c1 z^(r-1) - c2 z^(r-2) + ... + (-1)^(r-1) c_r, the degree-r part
   of c(p*E) (1+z)^(-1) = 0 (the tautological sub-bundle has rank r-1).
 
+Every relation is homogeneous and the top codimension is the dimension,
+so a monomial of total degree above the dimension is zero.  The normal
+form of each monomial with a rewrite generator above its cap is computed
+once per ring instance and kept on it; products merge equal monomials
+before reducing them.
+
 Coefficients are Python ints (arbitrary precision); any inversion of a
 class whose degree-0 part is not a unit raises instead of rounding.
 """
@@ -112,40 +118,75 @@ class AmbientSpace:
     def _zeta_relations(self) -> dict[int, dict[tuple[int, ...], int]]:
         return {}
 
+    @cached_property
+    def _normal_forms(self) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+        """Normal form of every monomial reduced so far in this ring."""
+        return {}
+
     def _reduce_term(self, mono: tuple[int, ...], coeff: int,
                      out: dict[tuple[int, ...], int]) -> None:
+        """Add coeff times the normal form of mono into out.
+
+        A truncate generator above its cap, or a total degree above the
+        dimension, makes the monomial zero.  A rewrite generator above its
+        cap is reduced through its relation; that normal form is computed
+        once per ring and kept in `_normal_forms`.
+        """
         gens = self.generators
         if len(mono) != len(gens):
             raise ValueError(
                 f"monomial {mono} has {len(mono)} exponents, ambient has {len(gens)} generators")
-        work = [(mono, coeff)]
+        if not coeff or sum(mono) > self.dimension:
+            return
+        if all(map(le, mono, self.top_monomial)):
+            out[mono] = out.get(mono, 0) + coeff
+        elif all(map(le, mono, self._truncate_caps)):
+            for m, c in self._normal_form(mono).items():
+                out[m] = out.get(m, 0) + coeff * c
+
+    def _normal_form(self, mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """Normal form of a monomial whose only over-cap generators rewrite.
+
+        Rewrites the outermost such generator through its relation and
+        combines the memoised normal forms of the results.  A work stack
+        rather than recursion keeps the depth independent of the exponent.
+        """
+        memo = self._normal_forms
+        if mono in memo:
+            return memo[mono]
+        caps = self.top_monomial
+        truncate_caps = self._truncate_caps
         relations = self._zeta_relations
-        while work:
-            m, c = work.pop()
-            if c == 0:
+        stack = [mono]
+        while stack:
+            m = stack[-1]
+            if m in memo:
+                stack.pop()
                 continue
-            hot = -1
-            dead = False
-            # scan outermost generator first so nested bundle levels settle
-            for i in range(len(gens) - 1, -1, -1):
-                g = gens[i]
-                if m[i] > g.cap:
-                    if g.rewrite:
-                        hot = i
-                        break
-                    dead = True
-                    break
-            if dead:
-                continue
-            if hot < 0:
-                out[m] = out.get(m, 0) + c
-                continue
-            r = gens[hot].cap + 1
+            # outermost generator first so nested bundle levels settle
+            hot = max(i for i, (e, cap) in enumerate(zip(m, caps)) if e > cap)
             rest = list(m)
-            rest[hot] -= r
+            rest[hot] -= caps[hot] + 1
+            nf: dict[tuple[int, ...], int] = {}
+            missing = []
             for rel_mono, rel_c in relations[hot].items():
-                prod = tuple(a + b for a, b in zip(rest, rel_mono))
-                work.append((prod, c * rel_c))
+                child = tuple(map(add, rest, rel_mono))
+                if all(map(le, child, caps)):
+                    nf[child] = nf.get(child, 0) + rel_c
+                elif all(map(le, child, truncate_caps)):
+                    form = memo.get(child)
+                    if form is None:
+                        missing.append(child)
+                    elif not missing:
+                        for k, v in form.items():
+                            nf[k] = nf.get(k, 0) + rel_c * v
+            if missing:
+                # reduce the results first, then come back to m
+                stack.extend(missing)
+                continue
+            memo[m] = {k: v for k, v in nf.items() if v}
+            stack.pop()
+        return memo[mono]
 
 
 @dataclass(frozen=True)
@@ -287,6 +328,15 @@ class ProjBundle(AmbientSpace):
         return twist_chern(self.pullback(self.chern).dual(), self.rank, self.zeta())
 
     @cached_property
+    def sub_chern(self) -> "CycleClass":
+        """c(F) = c(p*E) (1+z)^(-1) of the tautological sub-bundle F.
+
+        Raw Chern data like relative_tangent_chern: with a corrupted relation
+        its parts in codimension >= r stay nonzero rather than raising.
+        """
+        return self.pullback(self.chern) * (self.one() + self.zeta()).inverse()
+
+    @cached_property
     def tangent_chern(self) -> "CycleClass":
         # c(TP(E^v)) = c(p*T_base) c(T_rel), from the relative tangent sequence
         return self.pullback(self.base.tangent_chern) * self.relative_tangent_chern
@@ -396,11 +446,13 @@ class CycleClass:
         truncate_caps = ambient._truncate_caps
         dim = ambient.dimension
         out: dict[tuple[int, ...], int] = {}
+        over: dict[tuple[int, ...], int] = {}
         get = out.get
         # every ring is graded with top codimension dim, so a pair whose
         # codimensions add past it is zero; exponents only grow under
         # reduction, so a truncate generator over its cap kills the term
-        # whatever the rewrite generators do
+        # whatever the rewrite generators do; equal over-cap monomials are
+        # merged and then reduced once each
         right = sorted((sum(m), m, c) for m, c in other.coeffs.items())
         for m1, c1 in self.coeffs.items():
             room = dim - sum(m1)
@@ -411,7 +463,9 @@ class CycleClass:
                 if all(map(le, m, caps)):
                     out[m] = get(m, 0) + c1 * c2
                 elif all(map(le, m, truncate_caps)):
-                    ambient._reduce_term(m, c1 * c2, out)
+                    over[m] = over.get(m, 0) + c1 * c2
+        for m, c in over.items():
+            ambient._reduce_term(m, c, out)
         return CycleClass(ambient, {m: c for m, c in out.items() if c})
 
     def __pow__(self, k: int) -> "CycleClass":

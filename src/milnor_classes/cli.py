@@ -18,6 +18,8 @@ from .scenario import ScenarioError, load_scenario_file, run_compute
 from .verify import SUITES, run_verify
 
 FORMULA_CHOICES = ("thm41", "cor11", "cor12", "pp", "aluffi", "all")
+# hypersurface results that only the aluffi route computes
+ALUFFI_RESULTS = ("mu-class", "milnor-aluffi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,6 +73,13 @@ def cmd_compute(args) -> int:
     selected = set(args.formula or [])
     if "all" in selected:
         selected = set()
+    if selected and "aluffi" not in selected and "hypersurfaces" in scenario.tasks:
+        for i, spec in enumerate(scenario.hypersurfaces):
+            for key in ALUFFI_RESULTS:
+                if key in spec.expected:
+                    print(f"error: hypersurfaces[{i}].expected.{key}: computed only by "
+                          f"the aluffi formula, which --formula leaves out", file=sys.stderr)
+                    return 2
     report = run_compute(scenario, formulas=selected, with_timing=not args.no_timing)
     _emit(report, args.machine, args.no_timing)
     if args.strict and not report.ok:

@@ -40,17 +40,13 @@ def o1(ring: ProjBundle) -> BundleClass:
     return BundleClass(ring, 1, ring.one() + ring.zeta())
 
 
-def _raw_sub_chern(ring: ProjBundle) -> CycleClass:
-    return ring.pullback(ring.chern) * (ring.one() + ring.zeta()).inverse()
-
-
 def taut_sub_chern(ring: ProjBundle) -> BundleClass:
     """The tautological sub-bundle F: rank r-1, c(F) = c(p*E) (1+zeta)^(-1).
 
     Construction validates that the reduced class vanishes in codimension
     >= r, which is exactly the Grothendieck relation of the ring.
     """
-    return BundleClass(ring, ring.rank - 1, _raw_sub_chern(ring))
+    return BundleClass(ring, ring.rank - 1, ring.sub_chern)
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ def verify_tangent_identities(ring: ProjBundle) -> TangentCheck:
     corrupted ring yields a FAIL verdict rather than an exception.
     """
     via_dual = ring.relative_tangent_chern
-    via_sub = twist_chern(_raw_sub_chern(ring).dual(), ring.rank - 1, ring.zeta())
+    via_sub = twist_chern(ring.sub_chern.dual(), ring.rank - 1, ring.zeta())
     # the twisted dual has formal rank r but must reduce to a rank r-1
     # class; its codim >= r parts vanish exactly when the relation holds
     ok = via_dual == via_sub and all(sum(m) < ring.rank for m in via_dual.coeffs)
@@ -128,5 +124,5 @@ def flat_pullback_check(ring: ProjBundle, alpha: CycleClass) -> bool:
 
 def grothendieck_residual(ring: ProjBundle) -> CycleClass:
     """Codimension >= r part of c(p*E) (1+zeta)^(-1); zero iff the relation holds."""
-    raw = _raw_sub_chern(ring)
-    return CycleClass(ring, {m: c for m, c in raw.coeffs.items() if sum(m) >= ring.rank})
+    return CycleClass(ring, {m: c for m, c in ring.sub_chern.coeffs.items()
+                             if sum(m) >= ring.rank})

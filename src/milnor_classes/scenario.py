@@ -53,7 +53,8 @@ class ScenarioError(ValueError):
 
 TASK_KINDS = ("hypersurfaces", "intersection", "general_case")
 # hypersurface result keys an `expected` block may name, with the data
-# fields each one needs; --formula can still leave mu-class unset
+# fields each one needs; the CLI also rejects mu-class and milnor-aluffi
+# under a --formula choice without aluffi
 RESULT_NEEDS = {"virt": (), "csm": (), "milnor": (), "chi": (),
                 "milnor-le": ("strata", "le_cycles"),
                 "mu-class": ("strata", "sing_segre"),

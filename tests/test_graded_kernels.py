@@ -14,6 +14,7 @@ negative-control ring with a flipped relation sign.
 """
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -29,6 +30,11 @@ from milnor_classes.bundles import (
 )
 from milnor_classes.charclass import aluffi_tensor
 from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
+from milnor_classes.projbundle import (
+    grothendieck_residual,
+    make_bundle_ring,
+    verify_tangent_identities,
+)
 from milnor_classes.verify import CorruptedBundle
 
 
@@ -55,6 +61,13 @@ def _rings():
 
 
 RINGS = _rings()
+REWRITE_RINGS = ["bundle", "corrupted", "tower"]
+
+
+def monomials_up_to(ambient, degree):
+    """Every exponent tuple of total degree <= degree, over-cap ones included."""
+    return [m for m in product(range(degree + 1), repeat=len(ambient.generators))
+            if sum(m) <= degree]
 
 
 def random_class(rng_draw, ambient, unit=None):
@@ -258,12 +271,14 @@ class TestSympyOracle:
             assert product == 1
 
     def test_relation_reduction(self, oracle):
-        # every monomial up to twice the caps, reduced through from_coeffs
+        # every monomial of degree <= dim + 2, then random ones up to twice
+        # the caps, reduced through from_coeffs
         ambient = oracle.ambient
         rng = random.Random(13)
         caps = [g.cap for g in ambient.generators]
-        for _ in range(25):
-            mono = tuple(rng.randint(0, 2 * cap + 1) for cap in caps)
+        monos = monomials_up_to(ambient, ambient.dimension + 2)
+        monos += [tuple(rng.randint(0, 2 * cap + 1) for cap in caps) for _ in range(25)]
+        for mono in monos:
             got = ambient.from_coeffs({mono: 1})
             want = oracle.normal_form(_monomial(oracle.syms, mono))
             assert oracle.sympy.expand(oracle.poly(got) - want) == 0
@@ -277,3 +292,60 @@ class TestSympyOracle:
         mono = (0,) * (len(ambient.generators) - 1) + (ambient.rank + 1,)
         want = oracle.normal_form(_monomial(oracle.syms, mono))
         assert oracle.sympy.expand(oracle.poly(got) - want) == 0
+
+
+# -- normal-form memo --------------------------------------------------------------
+
+
+class TestNormalFormMemo:
+    """Each ring keeps the normal forms it has computed; state must not leak."""
+
+    @pytest.mark.parametrize("name", REWRITE_RINGS)
+    def test_fresh_and_warm_rings_agree(self, name):
+        warm = _rings()[name]
+        monos = monomials_up_to(warm, warm.dimension + 2)
+        listed = set(monos)
+        others = [m for m in product(*(range(2 * g.cap + 2) for g in warm.generators))
+                  if m not in listed]
+        random.Random(14).shuffle(others)
+        for mono in others:
+            warm.from_coeffs({mono: 1})
+        for mono in monos:
+            fresh = _rings()[name]
+            assert fresh.from_coeffs({mono: 1}).coeffs == warm.from_coeffs({mono: 1}).coeffs
+        fresh = _rings()[name]
+        weights = {mono: k + 1 for k, mono in enumerate(monos)}
+        assert fresh.from_coeffs(weights).coeffs == warm.from_coeffs(weights).coeffs
+
+    def test_corrupted_and_true_ring_in_turn(self):
+        p2 = ProjSpace(2)
+        chern = _split(p2, [1, 2, -1]).chern
+        true, bad = ProjBundle(p2, 3, chern), CorruptedBundle(p2, 3, chern)
+        differ = 0
+        for mono in monomials_up_to(true, true.dimension + 2):
+            got_true = true.from_coeffs({mono: 1})
+            got_bad = bad.from_coeffs({mono: 1})
+            assert got_true.coeffs == ProjBundle(p2, 3, chern).from_coeffs({mono: 1}).coeffs
+            assert got_bad.coeffs == CorruptedBundle(p2, 3, chern).from_coeffs({mono: 1}).coeffs
+            differ += got_true.coeffs != got_bad.coeffs
+        assert differ
+        assert (true.zeta() ** 3).coeffs != (bad.zeta() ** 3).coeffs
+        assert verify_tangent_identities(true).ok
+        assert not verify_tangent_identities(bad).ok
+        assert grothendieck_residual(true).is_zero()
+        assert not grothendieck_residual(bad).is_zero()
+
+    def test_z_power_closed_form(self):
+        # on P(O(1)+O(1)) over P^n the relation is (z - h)^2 = 0, so
+        # z^N = N h^(N-1) z - (N-1) h^N, and z^N = 0 past the dimension n + 1;
+        # z^999 comes first, reduced on a cold ring without recursion
+        for n, powers in ((40, range(2, 44)), (1000, (999, 2, 3, 30, 500, 1000, 1001, 1002))):
+            base = ProjSpace(n)
+            ring = make_bundle_ring(base, _split(base, [1, 1]))
+            for N in powers:
+                want = {}
+                if N - 1 <= n:
+                    want[(N - 1, 1)] = N
+                if N <= n:
+                    want[(N, 0)] = 1 - N
+                assert parse_class(ring, f"z^{N}").coeffs == want

@@ -397,6 +397,22 @@ class TestExitCodeContract:
         assert cli.main(["compute", str(path), "--no-timing"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {fieldpath}: ")
 
+    @pytest.mark.parametrize("key", ["mu-class", "milnor-aluffi"])
+    def test_expected_aluffi_result_without_aluffi_exit_2(self, tmp_path, capsys, key):
+        # only the aluffi route computes these; a --formula choice that skips
+        # it would leave the expectation unchecked
+        data = load_fixture("nodal_cubic_p2")
+        data["hypersurfaces"][0]["expected"][key] = "h^2"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = ["compute", str(path), "--no-timing", "--strict"]
+        assert cli.main(argv + ["--formula", "thm41"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: hypersurfaces[0].expected.{key}: ")
+        assert cli.main(argv + ["--formula", "thm41", "--formula", "aluffi"]) == 0
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
