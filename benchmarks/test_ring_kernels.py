@@ -7,6 +7,8 @@ Multiply, inverse and the Aluffi line twist on three ring shapes: P^200
 truncate generators, many terms per codimension) and a two-level tower of
 projective bundles (rewrite generators reduced through both relations).
 Operands are total tangent classes, dense in every codimension.  The
+other callers of the line-twist kernel, `twist_chern` (the cotangent
+twist of the mu-class) and `milnor_to_le`, are timed on P^200.  The
 normal-form cases reduce on a fresh ring per round, so each round pays
 for every rewrite: `from_coeffs` of every monomial of top degree on the
 tower, and `parse_class` of z^999 on P(O(1)+O(1)) over P^1000.  Each
@@ -23,9 +25,11 @@ from milnor_classes.bundles import (
     direct_sum,
     line_bundle,
     trivial_bundle,
+    twist_chern,
 )
 from milnor_classes.charclass import aluffi_tensor
 from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
+from milnor_classes.lecycles import le_to_milnor, milnor_pieces, milnor_to_le
 
 
 def _tower() -> ProjBundle:
@@ -82,6 +86,20 @@ def test_aluffi_tensor(benchmark, case):
     tangent, l = case
     twisted = benchmark(aluffi_tensor, tangent, l)
     assert twisted.component(0) == tangent.component(0)
+
+
+def test_twist_chern(benchmark):
+    tangent, l = _case(CASES["P200"])
+    cotangent, ell = tangent.dual(), l.c1()
+    twisted = benchmark(twist_chern, cotangent, 200, ell)
+    assert twist_chern(twisted, 200, -ell) == cotangent
+
+
+def test_milnor_to_le(benchmark):
+    tangent, l = _case(CASES["P200"])
+    pieces = milnor_pieces(tangent)
+    le = benchmark(milnor_to_le, pieces, l)
+    assert le_to_milnor(le, l) == pieces
 
 
 def _fresh(make, *args):

@@ -1,17 +1,15 @@
 """Formal vector-bundle calculus on top of the Chow ring.
 
 A bundle is identified with its rank and total Chern class; that is all
-the downstream class formulas consume.  Twisting by a line bundle uses the
-splitting-principle binomial rule, so ranks are unrestricted but the twist
-must be a line bundle.
+the downstream class formulas consume.  Every twist by a line bundle, here
+and in the Aluffi and Le-cycle formulas, goes through one kernel,
+`line_twist`; ranks are unrestricted but the twist must be a line bundle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
-from typing import Iterable
 
 from .chow import AmbientMismatchError, AmbientSpace, CycleClass, MultiProj, ProjSpace
 
@@ -90,39 +88,48 @@ def dual(e: BundleClass) -> BundleClass:
     return BundleClass(e.ambient, e.rank, e.chern.dual())
 
 
-def line_powers(ell: CycleClass, top: int) -> list[CycleClass]:
-    """[1, ell, ell^2, ..., ell^top]."""
-    powers = [ell.ambient.one()]
-    for _ in range(top):
-        powers.append(powers[-1] * ell)
-    return powers
+def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
+    """sum_k a^(k) (1 + ell)^(s - k) = c(L)^s (a (x) L), for ell = c1(L) of codimension 1.
 
-
-def line_polynomial(powers: list[CycleClass], coeffs: Iterable[int]) -> CycleClass:
-    """sum_j coeffs[j] ell^j over shared powers from line_powers."""
+    a^(k) is the codimension-k piece of a, and a (x) L = sum_k a^(k) c(L)^(-k)
+    is Aluffi's twist, a graded ring endomorphism with
+    (a (x) L) (x) L' = a (x) (L (x) L'); so line_twist(., -ell, s) inverts
+    line_twist(., ell, s).  The generalized binomials C(e, i) of
+    (1 + ell)^e come from C(e, i) = C(e, i-1) (e - i + 1) / i, exact for
+    negative e too; ell^i a^(k) vanishes once i + k passes the dimension.
+    """
+    ambient = a.ambient
+    n = ambient.dimension
+    powers = [ambient.one()]
     out: dict[tuple[int, ...], int] = {}
-    for cj, pj in zip(coeffs, powers):
-        if cj:
-            for m, c in pj.coeffs.items():
-                out[m] = out.get(m, 0) + cj * c
-    return CycleClass(powers[0].ambient, {m: c for m, c in out.items() if c})
+    for k, part in a.components():
+        if not part:
+            continue
+        e = s - k
+        series: dict[tuple[int, ...], int] = {}
+        binom = 1
+        for i in range(n - k + 1):
+            if i:
+                binom = binom * (e - i + 1) // i
+                if not binom:  # e >= 0 and i > e: the series has ended
+                    break
+            if i == len(powers):
+                powers.append(powers[-1] * ell)
+            for m, c in powers[i].coeffs.items():
+                series[m] = series.get(m, 0) + binom * c
+        for m, c in (part * CycleClass(ambient, series)).coeffs.items():
+            out[m] = out.get(m, 0) + c
+    return CycleClass(ambient, {m: c for m, c in out.items() if c})
 
 
 def twist_chern(chern: CycleClass, rank: int, ell: CycleClass) -> CycleClass:
-    """Binomial line twist of a raw total Chern class, without validation.
+    """c(E (x) L) = sum_(i <= rank) c_i(E) (1 + ell)^(rank - i), without validation.
 
-    c(E (x) L) = sum_(i <= rank) c_i(E) (1 + ell)^(rank - i) with ell = c1(L):
-    the splitting-principle rule c_k = sum_i C(rank-i, k-i) c_i ell^(k-i).
-    Parts of chern above the rank do not enter.
+    The line twist of the raw total Chern class cut at the rank: parts of
+    chern above the rank do not enter.
     """
-    top = min(rank, chern.ambient.dimension)  # ell^j c_i vanishes past the dimension
-    powers = line_powers(ell, top)
-    out = chern.ambient.zero()
-    for i, part in chern.components()[:rank + 1]:
-        if part:
-            series = line_polynomial(powers, (comb(rank - i, j) for j in range(top - i + 1)))
-            out = out + part * series
-    return out
+    cut = {m: c for m, c in chern.coeffs.items() if sum(m) <= rank}
+    return line_twist(CycleClass(chern.ambient, cut), ell, rank)
 
 
 def tensor_line(e: BundleClass, l: BundleClass) -> BundleClass:

@@ -15,23 +15,16 @@ The mu-class route (cotangent twist against the Segre class of the
 singular locus) provides an independent second computation of M(X); its
 grading convention is ambient codimension and its global sign is (-1)^n,
 both frozen by the hypersurface calibration fixtures in the test suite.
+Aluffi's a (x) L, the cotangent twist and the route's c(L)^(n-1) factor are
+each one call of the line-twist kernel `bundles.line_twist`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .chow import AmbientSpace, CycleClass, ProjSpace
-from .bundles import (
-    BundleClass,
-    dual,
-    line_polynomial,
-    line_powers,
-    tangent_bundle,
-    tensor_line,
-    top_chern,
-)
+from .bundles import BundleClass, line_twist, top_chern, twist_chern
 from .strata import StratifiedHypersurface, gamma_weights
 
 
@@ -55,7 +48,7 @@ def virtual_class(ambient: AmbientSpace, e: BundleClass, x_class: CycleClass) ->
         raise ValueError(
             "x_class does not equal the top Chern class of the bundle; "
             "not the zero set of a regular section")
-    return tangent_bundle(ambient).chern * e.chern.inverse() * x_class
+    return ambient.tangent_chern * e.chern.inverse() * x_class
 
 
 def milnor_pp(hyp: StratifiedHypersurface) -> CycleClass:
@@ -82,27 +75,12 @@ def csm_from_milnor(virt: CycleClass, milnor: CycleClass,
 
 
 def aluffi_tensor(a: CycleClass, l: BundleClass) -> CycleClass:
-    """sum_j a^(j) c(L)^(-j), the j-th piece twisted j times (ambient grading).
-
-    c(L)^(-j) = (1 + ell)^(-j) = sum_i (-1)^i C(j+i-1, i) ell^i, ell = c1(L).
-    """
+    """a (x) L = sum_j a^(j) c(L)^(-j), the j-th piece twisted j times (ambient grading)."""
     if l.rank != 1:
         raise ValueError("aluffi_tensor twists by a line bundle")
     if l.ambient != a.ambient:
         raise ValueError("class and line bundle live on different ambients")
-    n = a.ambient.dimension
-    powers = line_powers(l.c1(), n)
-    out = a.ambient.zero()
-    for j, part in a.components():
-        if not part:
-            continue
-        if j == 0:
-            out = out + part
-            continue
-        series = line_polynomial(powers, ((-1) ** i * comb(j + i - 1, i)
-                                          for i in range(n - j + 1)))
-        out = out + part * series
-    return out
+    return line_twist(a, l.c1(), 0)
 
 
 def segre_builtin(ambient: AmbientSpace, center: str, arg: int) -> CycleClass:
@@ -133,20 +111,19 @@ def segre_builtin(ambient: AmbientSpace, center: str, arg: int) -> CycleClass:
 
 def mu_class(hyp: StratifiedHypersurface, segre: CycleClass) -> CycleClass:
     """Aluffi mu-class: c(T*M (x) L) cap s(Sing X, M)."""
-    cotangent = dual(tangent_bundle(hyp.ambient))
-    twisted = tensor_line(cotangent, hyp.line_bundle)
-    return twisted.chern * segre
+    n = hyp.ambient.dimension
+    return twist_chern(hyp.ambient.tangent_chern.dual(), n, hyp.line_bundle.c1()) * segre
 
 
 def aluffi_milnor(hyp: StratifiedHypersurface, mu: CycleClass) -> CycleClass:
     """Milnor class from the mu-class: (-1)^n c(L)^(n-1) (mu^v (x) L).
 
-    Ambient-codimension grading throughout; the global sign (-1)^n is the
-    one the calibration fixtures force and is frozen (n = dim M).
+    That is (-1)^n sum_k (mu^v)^(k) c(L)^(n-1-k), one line twist.  Ambient-
+    codimension grading throughout; the global sign (-1)^n is the one the
+    calibration fixtures force and is frozen (n = dim M).
     """
     n = hyp.ambient.dimension
-    kernel = aluffi_tensor(mu.dual(), hyp.line_bundle)
-    result = hyp.line_bundle.chern ** (n - 1) * kernel
+    result = line_twist(mu.dual(), hyp.line_bundle.c1(), n - 1)
     return result.scale(-1 if n % 2 else 1)
 
 

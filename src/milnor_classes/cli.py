@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .examples import list_examples, run_example
-from .scenario import ScenarioError, load_scenario_file, run_compute
+from .scenario import ScenarioError, intersection_formulas, load_scenario_file, run_compute
 from .verify import SUITES, run_verify
 
 FORMULA_CHOICES = ("thm41", "cor11", "cor12", "pp", "aluffi", "all")
@@ -80,6 +80,11 @@ def cmd_compute(args) -> int:
                     print(f"error: hypersurfaces[{i}].expected.{key}: computed only by "
                           f"the aluffi formula, which --formula leaves out", file=sys.stderr)
                     return 2
+    if "intersection" in scenario.tasks and not intersection_formulas(scenario, selected):
+        print("error: intersection: --formula leaves no intersection formula to run; "
+              "choose thm41, cor11, cor12 or pp (pp needs strata on every member)",
+              file=sys.stderr)
+        return 2
     report = run_compute(scenario, formulas=selected, with_timing=not args.no_timing)
     _emit(report, args.machine, args.no_timing)
     if args.strict and not report.ok:

@@ -1,4 +1,4 @@
-"""The four Milnor-class formulas for transversal hypersurface intersections.
+"""The five Milnor-class formulas for transversal hypersurface intersections.
 
 For X = X_1 cap ... cap X_r inside M (dim n), all products taken in the
 ambient ring:
@@ -15,8 +15,11 @@ ambient ring:
   each M(X_i) by its strata (milnor_pp_ais) or expanding everything into a
   sum over stratum tuples with CSM-closure kernels (milnor_pp_full).
 
-All four agree exactly whenever each input triple satisfies the definition
-identity; cross_validate checks that agreement and renders a report.
+FORMULAS registers them as thm41, cor11, cor12, pp_ais and pp_full.  Each
+hypersurface's Milnor class already comes from its strata, so pp_ais
+equals cor11 by construction.  All five agree exactly whenever each input
+triple satisfies the definition identity; cross_validate checks that
+agreement and renders a report.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chow import AmbientSpace, CycleClass
-from .bundles import direct_sum, tangent_bundle, trivial_bundle
+from .bundles import direct_sum, trivial_bundle
 from .charclass import ClassBundle3, milnor_pp
 from .strata import StratifiedHypersurface, gamma_weights
 
@@ -55,7 +58,7 @@ class IntersectionScenario:
 @lru_cache(maxsize=None)
 def _inv_tangent_power(ambient: AmbientSpace, copies: int) -> CycleClass:
     """c((TM)^(+copies))^(-1), cached per ambient (pure-function cache)."""
-    return (tangent_bundle(ambient).chern ** copies).inverse()
+    return (ambient.tangent_chern ** copies).inverse()
 
 
 def selector_terms(sc: IntersectionScenario) -> list[tuple[tuple[int, ...], int, CycleClass]]:

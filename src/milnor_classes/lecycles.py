@@ -1,22 +1,22 @@
-"""Triangular conversion between Le cycles and Milnor classes.
+"""Conversion between Le cycles and Milnor classes, in closed form both ways.
 
 Lambda_k lives in codimension (dim M - k) and vanishes above the dimension
-of the singular locus.  The conversion
+of the singular locus.  With n = dim M and c(L) = 1 + c1(L),
 
-    M_k = sum_{l >= 0} (-1)^(k+l) C(l+k, k) c1(L)^l Lambda_{l+k}
+    M = sum_k (-1)^k c(L)^k Lambda_k = (-1)^n line_twist(Lambda^v, c1(L), n),
 
-is triangular with unit diagonal (up to sign), so it inverts exactly by
-back-substitution from the top dimension downward.  The sum runs until the
-Le data is exhausted, which subsumes any finite upper limit.
+whose dimension-k piece is sum_l (-1)^(k+l) C(l+k, k) c1(L)^l Lambda_(l+k).
+Twisting by -c1(L) undoes twisting by c1(L), so the inverse is
+
+    Lambda = ((-1)^n line_twist(M, -c1(L), n))^v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .chow import AmbientSpace, CycleClass
-from .bundles import BundleClass
+from .bundles import BundleClass, line_twist
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +39,6 @@ class LeCycles:
     def __getitem__(self, k: int) -> CycleClass:
         return self.classes.get(k, self.ambient.zero())
 
-    def max_index(self) -> int:
-        return max(self.classes, default=-1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeCycles):
             return NotImplemented
@@ -57,51 +54,25 @@ def _check_homogeneous(c: CycleClass, codim: int, label: str) -> None:
 
 
 def le_to_milnor(le: LeCycles, l: BundleClass) -> dict[int, CycleClass]:
-    """Graded Milnor-class pieces from Le cycles (the forward sum)."""
-    c1 = l.c1()
-    out: dict[int, CycleClass] = {}
-    top = le.max_index()
-    for k in range(top + 1):
-        piece = le.ambient.zero()
-        power = le.ambient.one()
-        for ell in range(top - k + 1):
-            lam = le[ell + k]
-            if not lam.is_zero():
-                sign = -1 if (k + ell) % 2 else 1
-                piece = piece + (power * lam).scale(sign * comb(ell + k, k))
-            power = power * c1
-        if not piece.is_zero():
-            out[k] = piece
-    return out
+    """Graded Milnor-class pieces from Le cycles: sum_k (-1)^k c(L)^k Lambda_k."""
+    n = le.ambient.dimension
+    total = sum(le.classes.values(), le.ambient.zero())
+    return milnor_pieces(line_twist(total.dual(), l.c1(), n).scale(-1 if n % 2 else 1))
 
 
 def milnor_to_le(milnor: dict[int, CycleClass], l: BundleClass,
                  ambient: AmbientSpace | None = None) -> LeCycles:
-    """Invert the conversion by back-substitution from the top index down."""
+    """Le cycles of graded Milnor-class pieces: the inverse twist, by -c1(L)."""
     if ambient is None:
         if not milnor:
             raise ValueError("need an ambient to build empty Le data")
         ambient = next(iter(milnor.values())).ambient
     for k, c in milnor.items():
         _check_homogeneous(c, ambient.dimension - k, f"M_{k}")
-    c1 = l.c1()
-    top = max((k for k, c in milnor.items() if not c.is_zero()), default=-1)
-    lam: dict[int, CycleClass] = {}
-    for k in range(top, -1, -1):
-        # M_k = (-1)^k Lambda_k + (tail in Lambda_{k+1}, ...)
-        tail = ambient.zero()
-        power = ambient.one()
-        for ell in range(1, top - k + 1):
-            power = power * c1
-            higher = lam.get(ell + k)
-            if higher is not None:
-                sign = -1 if (k + ell) % 2 else 1
-                tail = tail + (power * higher).scale(sign * comb(ell + k, k))
-        diag_sign = -1 if k % 2 else 1
-        piece = (milnor.get(k, ambient.zero()) - tail).scale(diag_sign)
-        if not piece.is_zero():
-            lam[k] = piece
-    return LeCycles(ambient, lam)
+    n = ambient.dimension
+    total = sum(milnor.values(), ambient.zero())
+    lam = line_twist(total, -l.c1(), n).scale(-1 if n % 2 else 1).dual()
+    return LeCycles(ambient, milnor_pieces(lam))
 
 
 def milnor_pieces(total: CycleClass) -> dict[int, CycleClass]:

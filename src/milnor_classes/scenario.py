@@ -452,6 +452,21 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
     return sec
 
 
+def intersection_formulas(sc: Scenario, formulas: set[str]) -> tuple[str, ...]:
+    """The intersection formulas a run computes, in report order.
+
+    An empty selection means all of them, and "pp" selects both per-stratum
+    expansions; those need strata on every member, so a Le-only member
+    leaves them out.
+    """
+    by_name = {s.name: s for s in sc.hypersurfaces}
+    strata_ok = all(by_name[n].hyp is not None for n in sc.intersection.names)
+    return tuple(f for f in FORMULAS
+                 if (not formulas or f in formulas
+                     or (f.startswith("pp_") and "pp" in formulas))
+                 and (strata_ok or not f.startswith("pp_")))
+
+
 def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], ClassBundle3],
                           formulas: set[str]) -> ReportSection:
     block = sc.intersection
@@ -473,14 +488,10 @@ def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], Cla
             hyps.append(spec.hyp)
         triples.append(triple(spec))
     scenario_obj = IntersectionScenario(sc.ambient, tuple(hyps), tuple(triples))
-    wanted = tuple(f for f in FORMULAS
-                   if not formulas or f in formulas
-                   or (f.startswith("pp_") and "pp" in formulas))
-    strata_ok = all(s.hyp is not None for s in chosen)
-    if not strata_ok:
-        wanted = tuple(f for f in wanted if not f.startswith("pp_"))
+    if not all(s.hyp is not None for s in chosen):
         sec.notes.append("per-stratum formulas skipped: Le-only hypersurface present")
-    cv = cross_validate(scenario_obj, expected=block.expected, formulas=wanted)
+    cv = cross_validate(scenario_obj, expected=block.expected,
+                        formulas=intersection_formulas(sc, formulas))
     for result in cv.results:
         sec.results[result.name] = result.value.render()
     if block.expected is not None:

@@ -8,9 +8,10 @@ negative-control ring with a flipped relation sign.
   product is the remainder modulo a Groebner basis of the defining ideal,
   (h^(n+1), z^r - c1 z^(r-1) + c2 z^(r-2) - ...), built here from the
   definition of each ring rather than from its reduction code.
-* Properties against slow references kept in this file: the
-  geometric-series inverse, the double-loop binomial twist and the
-  power-by-power Aluffi twist.
+* Properties against slow references: the geometric-series inverse, the
+  double-loop binomial twist and the power-by-power Aluffi twist kept in
+  this file, and the term-by-term Le conversion of test_lecycles.  The
+  line twist also inverts itself: twisting by -ell undoes twisting by ell.
 """
 
 import random
@@ -24,18 +25,21 @@ from milnor_classes.bundles import (
     BundleClass,
     direct_sum,
     line_bundle,
+    line_twist,
     tensor_line,
     trivial_bundle,
     twist_chern,
 )
 from milnor_classes.charclass import aluffi_tensor
 from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
+from milnor_classes.lecycles import LeCycles, le_to_milnor, milnor_pieces
 from milnor_classes.projbundle import (
     grothendieck_residual,
     make_bundle_ring,
     verify_tangent_identities,
 )
 from milnor_classes.verify import CorruptedBundle
+from test_lecycles import naive_conversion
 
 
 def _split(base, degrees):
@@ -88,8 +92,8 @@ def ring_and_unit_class(draw):
 
 
 @st.composite
-def ring_and_classes(draw):
-    ambient = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+def ring_and_classes(draw, names=tuple(sorted(RINGS))):
+    ambient = RINGS[draw(st.sampled_from(names))]
     return random_class(draw, ambient), random_class(draw, ambient)
 
 
@@ -184,6 +188,26 @@ class TestGradedKernels:
         ell = b.components()[1][1] + ambient.gen(0).scale(d)
         l = BundleClass(ambient, 1, ambient.one() + ell)
         assert aluffi_tensor(a, l) == power_by_power_aluffi(a, l)
+
+    @given(ring_and_classes(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_line_twist_inverts_by_minus_ell(self, pair, data):
+        a, b = pair
+        s = data.draw(st.integers(-3, a.ambient.dimension + 2))
+        ell = b.components()[1][1]
+        assert line_twist(line_twist(a, ell, s), -ell, s) == a
+
+    @given(ring_and_classes(("P2xP1xP1", "bundle", "tower")))
+    @settings(max_examples=60, deadline=None)
+    def test_le_to_milnor_matches_naive_conversion(self, pair):
+        # a product ring and bundle rings; test_lecycles covers P^n
+        a, b = pair
+        ambient = a.ambient
+        le = LeCycles(ambient, milnor_pieces(a))
+        l = BundleClass(ambient, 1, ambient.one() + b.components()[1][1])
+        m = le_to_milnor(le, l)
+        for k in range(ambient.dimension + 1):
+            assert m.get(k, ambient.zero()) == naive_conversion(le, l, k)
 
     def test_tensor_line_is_the_validated_twist(self):
         p2 = ProjSpace(2)

@@ -1,4 +1,4 @@
-"""Le-cycle / Milnor-class conversion: the triangular binomial transform."""
+"""Le-cycle / Milnor-class conversion: a line twist by c1(L) and its inverse by -c1(L)."""
 
 import random
 from math import comb

@@ -413,6 +413,30 @@ class TestExitCodeContract:
         assert cli.main(argv) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("le_only,formula,still_run", [
+        (False, "aluffi", "thm41"),
+        (True, "pp", "cor12"),
+    ], ids=["aluffi-only", "pp-with-le-only-member"])
+    def test_no_intersection_formula_exit_2(self, tmp_path, capsys, le_only, formula,
+                                            still_run):
+        # with no formula run, "formulas-agree: yes" would hold over nothing
+        # and the support verdict would go unchecked
+        data = load_fixture("two_planes_cap_plane_p3")
+        if le_only:
+            member = data["hypersurfaces"][0]
+            del member["strata"]
+            member["le_cycles"] = load_fixture("two_planes_le_route_p3")[
+                "hypersurfaces"][0]["le_cycles"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        argv = ["compute", str(path), "--no-timing", "--strict"]
+        assert cli.main(argv + ["--formula", formula]) == 2
+        assert capsys.readouterr().err.startswith("error: intersection: ")
+        assert cli.main(argv + ["--formula", formula, "--formula", still_run]) == 0
+        out = capsys.readouterr().out
+        assert f"{still_run}: h^3" in out
+        assert "verdict support: PASS" in out
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
