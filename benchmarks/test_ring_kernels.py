@@ -2,11 +2,13 @@
 
     PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
-Multiply, inverse and the Aluffi line twist on three ring shapes: P^200
-(one truncate generator, long dense classes), P^4 x P^4 x P^4 (several
-truncate generators, many terms per codimension) and a two-level tower of
-projective bundles (rewrite generators reduced through both relations).
-Operands are total tangent classes, dense in every codimension.  The
+Multiply, inverse and the Aluffi line twist on four ring shapes: P^200
+(one truncate generator, long dense classes), P^4 x P^4 x P^4 and
+P^2 x P^2 x P^2 x P^2 (several truncate generators, many terms per
+codimension) and a two-level tower of projective bundles (rewrite
+generators reduced through both relations).  Operands are total tangent
+classes, dense in every codimension.  The inverse is also timed on
+c(TP^1000), three rounds of about a second each.  The
 other callers of the line-twist kernel, `twist_chern` (the cotangent
 twist of the mu-class) and `milnor_to_le`, are timed on P^200.  The
 normal-form cases reduce on a fresh ring per round, so each round pays
@@ -17,6 +19,7 @@ case checks its result once outside the timed calls.  The default
 """
 
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -55,6 +58,7 @@ def _case(ambient):
 CASES = {
     "P200": ProjSpace(200),
     "P4xP4xP4": MultiProj((4, 4, 4)),
+    "P2xP2xP2xP2": MultiProj((2, 2, 2, 2)),
     "tower": _tower(),
 }
 
@@ -80,6 +84,13 @@ def test_square(benchmark, case):
     tangent, _ = case
     square = benchmark(tangent.__mul__, tangent)
     assert square == tangent ** 2
+
+
+def test_inverse_p1000(benchmark):
+    tangent = ProjSpace(1000).tangent_chern
+    inv = benchmark.pedantic(tangent.inverse, rounds=3)
+    # c(TP^n) = (1+h)^(n+1), so its inverse has coefficients (-1)^k C(n+k, k)
+    assert all(inv.coeffs[(k,)] == (-1) ** k * comb(1000 + k, k) for k in range(1001))
 
 
 def test_aluffi_tensor(benchmark, case):

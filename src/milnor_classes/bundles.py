@@ -10,8 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
-from .chow import AmbientMismatchError, AmbientSpace, CycleClass, MultiProj, ProjSpace
+from .chow import (
+    AmbientMismatchError,
+    AmbientSpace,
+    CycleClass,
+    MultiProj,
+    ProjSpace,
+    add_products,
+)
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,11 @@ class BundleClass:
     @cached_property
     def _pieces(self) -> list[CycleClass]:
         return [part for _, part in self.chern.components()]
+
+    @cached_property
+    def inverse_chern(self) -> CycleClass:
+        """c(E)^(-1), inverted once per bundle."""
+        return self.chern.inverse()
 
     def c(self, k: int) -> CycleClass:
         """The k-th Chern class; zero beyond the ambient dimension."""
@@ -100,13 +114,12 @@ def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
     """
     ambient = a.ambient
     n = ambient.dimension
-    powers = [ambient.one()]
-    out: dict[tuple[int, ...], int] = {}
-    for k, part in a.components():
-        if not part:
-            continue
+    ell_terms = ambient.key_terms(ell.coeffs)
+    powers = [[(0, 0, 1)]]  # key terms of ell^i, built on demand
+    acc: dict[int, int] = {}
+    for k, part in groupby(ambient.key_terms(a.coeffs), itemgetter(0)):
         e = s - k
-        series: dict[tuple[int, ...], int] = {}
+        series = []  # (1 + ell)^e up to codimension n - k
         binom = 1
         for i in range(n - k + 1):
             if i:
@@ -114,12 +127,12 @@ def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
                 if not binom:  # e >= 0 and i > e: the series has ended
                     break
             if i == len(powers):
-                powers.append(powers[-1] * ell)
-            for m, c in powers[i].coeffs.items():
-                series[m] = series.get(m, 0) + binom * c
-        for m, c in (part * CycleClass(ambient, series)).coeffs.items():
-            out[m] = out.get(m, 0) + c
-    return CycleClass(ambient, {m: c for m, c in out.items() if c})
+                step: dict[int, int] = {}
+                add_products(step, powers[-1], ell_terms, n)
+                powers.append(ambient.key_terms(ambient.settle(step)))
+            series += [(i, key, binom * c) for _, key, c in powers[i]]
+        add_products(acc, list(part), series, n)
+    return CycleClass(ambient, ambient.settle(acc))
 
 
 def twist_chern(chern: CycleClass, rank: int, ell: CycleClass) -> CycleClass:

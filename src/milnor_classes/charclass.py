@@ -48,13 +48,13 @@ def virtual_class(ambient: AmbientSpace, e: BundleClass, x_class: CycleClass) ->
         raise ValueError(
             "x_class does not equal the top Chern class of the bundle; "
             "not the zero set of a regular section")
-    return ambient.tangent_chern * e.chern.inverse() * x_class
+    return ambient.tangent_chern * e.inverse_chern * x_class
 
 
 def milnor_pp(hyp: StratifiedHypersurface) -> CycleClass:
     """Weighted-strata Milnor class: sum_S gamma_S c(L)^(-1) c^SM(closure S)."""
     gammas = gamma_weights(hyp)
-    l_inv = hyp.line_bundle.chern.inverse()
+    l_inv = hyp.line_bundle.inverse_chern
     total = hyp.ambient.zero()
     for s in hyp.singular_strata:
         g = gammas[s.name]

@@ -14,8 +14,19 @@ tautological class per bundle level), kept in normal form:
 Every relation is homogeneous and the top codimension is the dimension,
 so a monomial of total degree above the dimension is zero.  The normal
 form of each monomial with a rewrite generator above its cap is computed
-once per ring instance and kept on it; products merge equal monomials
-before reducing them.
+once per ring instance and kept on it.
+
+Products run on integer keys.  Each ring encodes a monomial as a
+mixed-radix integer with base 2 cap + 1 per generator.  Precondition: both
+factors are in normal form, so every exponent is at most its cap; then
+each exponent of a product monomial is at most 2 cap, no slot carries, and
+the key of a product is the sum of the keys.  One kernel serves multiply,
+inverse and the line twist (`bundles.line_twist`): `add_products` sums
+coefficients over integer keys, skipping pairs past the top codimension,
+and `AmbientSpace.settle` takes each distinct key of the sum once: it
+keeps an in-cap monomial, drops one with a truncate generator above its
+cap and reduces one with only rewrite generators above their caps.  Each
+ring keeps the normal form of every key it has settled.
 
 Coefficients are Python ints (arbitrary precision); any inversion of a
 class whose degree-0 part is not a unit raises instead of rounding.
@@ -26,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, le
+from operator import add, le, mul
 from typing import Iterable, Mapping
 
 
@@ -74,6 +85,61 @@ class AmbientSpace:
     def _truncate_caps(self) -> tuple[float, ...]:
         """Caps of the truncate generators; rewrite generators are unbounded."""
         return tuple(float("inf") if g.rewrite else g.cap for g in self.generators)
+
+    @cached_property
+    def _bases(self) -> tuple[int, ...]:
+        """Radix of each exponent slot of a monomial key: 2 cap + 1."""
+        return tuple(2 * g.cap + 1 for g in self.generators)
+
+    @cached_property
+    def _places(self) -> tuple[int, ...]:
+        """Place value of each exponent slot of a monomial key."""
+        places = [1]
+        for base in self._bases[:-1]:
+            places.append(places[-1] * base)
+        return tuple(places)
+
+    @cached_property
+    def _key_forms(self) -> dict[int, dict[tuple[int, ...], int]]:
+        """Normal form of the monomial of every key settled so far in this ring."""
+        return {}
+
+    # -- product kernel -----------------------------------------------------
+
+    def key_terms(self, coeffs: Mapping[tuple[int, ...], int]) -> list[tuple[int, int, int]]:
+        """(codimension, key, coefficient) of every normal-form monomial, by codimension."""
+        places = self._places
+        terms = [(sum(m), sum(map(mul, m, places)), c) for m, c in coeffs.items()]
+        terms.sort()
+        return terms
+
+    def settle(self, acc: Mapping[int, int]) -> dict[tuple[int, ...], int]:
+        """Normal form of a sum of product keys, each decoded once per ring.
+
+        Every key must be a sum of two normal-form keys (or one), so that
+        no slot has carried.  A key is decoded into its monomial, whose
+        normal form `_reduce_term` gives once and `_key_forms` keeps: the
+        monomial itself when in cap, its reduction when only rewrite
+        generators are above their caps, and zero otherwise.
+        """
+        forms = self._key_forms
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for key, c in acc.items():
+            if not c:
+                continue
+            form = forms.get(key)
+            if form is None:
+                exps = []
+                rest = key
+                for base in self._bases:
+                    rest, e = divmod(rest, base)
+                    exps.append(e)
+                form = forms[key] = {}
+                self._reduce_term(tuple(exps), 1, form)
+            for m, v in form.items():
+                out[m] = get(m, 0) + c * v
+        return {m: c for m, c in out.items() if c}
 
     # -- class constructors -------------------------------------------------
 
@@ -367,11 +433,32 @@ def make_ambient(spec: AmbientSpace | int | Iterable[int]) -> AmbientSpace:
     return MultiProj(tuple(spec))
 
 
+def add_products(acc: dict[int, int], left: list[tuple[int, int, int]],
+                 right: list[tuple[int, int, int]], dim: int) -> None:
+    """acc[k1 + k2] += c1 c2 over (codimension, key, coefficient) terms of left and right.
+
+    The pair loop of the product kernel.  right is sorted by codimension,
+    and a pair whose codimensions add past dim is skipped: every ring is
+    graded with top codimension dim, so that product is zero.
+    `AmbientSpace.settle` turns acc into normal form.
+    """
+    get = acc.get
+    for d1, k1, c1 in left:
+        room = dim - d1
+        for d2, k2, c2 in right:
+            if d2 > room:
+                break
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+
+
 class CycleClass:
     """Element of the truncated Chow ring of an ambient space.
 
     Immutable after construction; coeffs maps exponent tuples in normal
-    form to nonzero ints.  Grading is by codimension (total exponent).
+    form to nonzero ints, so every exponent is at most its generator's cap,
+    which the product kernel's integer keys rely on.  Grading is by
+    codimension (total exponent).
     """
 
     __slots__ = ("ambient", "coeffs", "_hash")
@@ -442,31 +529,10 @@ class CycleClass:
             return self.scale(other)
         self._check_same(other)
         ambient = self.ambient
-        caps = ambient.top_monomial
-        truncate_caps = ambient._truncate_caps
-        dim = ambient.dimension
-        out: dict[tuple[int, ...], int] = {}
-        over: dict[tuple[int, ...], int] = {}
-        get = out.get
-        # every ring is graded with top codimension dim, so a pair whose
-        # codimensions add past it is zero; exponents only grow under
-        # reduction, so a truncate generator over its cap kills the term
-        # whatever the rewrite generators do; equal over-cap monomials are
-        # merged and then reduced once each
-        right = sorted((sum(m), m, c) for m, c in other.coeffs.items())
-        for m1, c1 in self.coeffs.items():
-            room = dim - sum(m1)
-            for d2, m2, c2 in right:
-                if d2 > room:
-                    break
-                m = tuple(map(add, m1, m2))
-                if all(map(le, m, caps)):
-                    out[m] = get(m, 0) + c1 * c2
-                elif all(map(le, m, truncate_caps)):
-                    over[m] = over.get(m, 0) + c1 * c2
-        for m, c in over.items():
-            ambient._reduce_term(m, c, out)
-        return CycleClass(ambient, {m: c for m, c in out.items() if c})
+        acc: dict[int, int] = {}
+        add_products(acc, ambient.key_terms(self.coeffs), ambient.key_terms(other.coeffs),
+                     ambient.dimension)
+        return CycleClass(ambient, ambient.settle(acc))
 
     def __pow__(self, k: int) -> "CycleClass":
         if k < 0:
@@ -487,23 +553,31 @@ class CycleClass:
         Graded recursion on the homogeneous pieces a_j: with u = a_0,
         b_0 = u and b_k = -u (a_1 b_(k-1) + ... + a_k b_0).  Every supported
         ring is graded (the z-relation is homogeneous), so b_k is the
-        codimension-k piece of the inverse; exact over the integers.
+        codimension-k piece of the inverse; exact over the integers.  Each
+        b_k is one settle of its summed key products, kept as key terms for
+        the next codimensions.
         """
         ambient = self.ambient
-        unit = self.coeffs.get((0,) * len(ambient.generators), 0)
+        zero_mono = (0,) * len(ambient.generators)
+        unit = self.coeffs.get(zero_mono, 0)
         if unit not in (1, -1):
             raise ValueError(f"degree-0 part {unit} is not a unit; cannot invert")
-        pieces = [part for _, part in self.components()]
-        terms = [ambient.from_int(unit)]
-        for k in range(1, ambient.dimension + 1):
-            acc = ambient.zero()
-            for j in range(1, k + 1):
-                if pieces[j] and terms[k - j]:
-                    acc = acc + pieces[j] * terms[k - j]
-            terms.append(acc.scale(-unit))
-        out: dict[tuple[int, ...], int] = {}
-        for t in terms:
-            out.update(t.coeffs)  # pieces of distinct codimension never overlap
+        dim = ambient.dimension
+        pieces: dict[int, list[tuple[int, int, int]]] = {}
+        for term in ambient.key_terms(self.coeffs):
+            if term[0]:
+                pieces.setdefault(term[0], []).append(term)
+        out = {zero_mono: unit}
+        inverse = [[(0, 0, unit)]]  # (codimension, key, coefficient) terms of each b_k
+        for k in range(1, dim + 1):
+            acc: dict[int, int] = {}
+            for j, piece in pieces.items():  # ascending codimension
+                if j > k:
+                    break
+                add_products(acc, piece, inverse[k - j], dim)
+            part = {m: -unit * c for m, c in ambient.settle(acc).items()}
+            out.update(part)  # pieces of distinct codimension never overlap
+            inverse.append(ambient.key_terms(part))
         return CycleClass(ambient, out)
 
     def dual(self) -> "CycleClass":

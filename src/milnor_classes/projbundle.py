@@ -82,7 +82,7 @@ def lemma_transfer(f: BundleClass, cls: CycleClass) -> CycleClass:
     """Exact-sequence transfer: c(F)^(-1) c_top(F) cap (class on Z_1)."""
     if f.ambient != cls.ambient:
         raise ValueError("bundle and class live on different ambients")
-    return f.chern.inverse() * top_chern(f) * cls
+    return f.inverse_chern * top_chern(f) * cls
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,12 @@ def milnor_general(inp: GeneralCaseInput) -> CycleClass:
     ring = inp.ring
     zeta = ring.zeta()
     f = taut_sub_chern(ring)
+    # c(F) = p*c(E) (1+z)^(-1), so c(F)^(-1) = (1+z) p*(c(E)^(-1)): the
+    # inverse is taken in the base ring, which is smaller
+    f_inverse = (ring.one() + zeta) * ring.pullback(ring.chern.inverse())
     kernel = (ring.relative_tangent_chern.inverse()
               * zeta ** (ring.rank - 1)
-              * f.chern.inverse()
+              * f_inverse
               * top_chern(f))
     return ring.pushforward(kernel * inp.milnor_of_tilde)
 

@@ -1,8 +1,9 @@
 """The graded ring kernels: multiply, inverse, grading, dual and line twists.
 
-Two kinds of checks run on every supported ring shape: P^n, a product of
-projective spaces, a one-level and a two-level projective bundle, and the
-negative-control ring with a flipped relation sign.
+Two kinds of checks run on every supported ring shape: P^n, products of
+projective spaces (one with a P^0 factor, whose generator has cap 0 and
+so a key radix of 1), a one-level and a two-level projective bundle, and
+the negative-control ring with a flipped relation sign.
 
 * An external oracle (sympy, skipped when absent): the normal form of a
   product is the remainder modulo a Groebner basis of the defining ideal,
@@ -58,6 +59,7 @@ def _rings():
     return {
         "P4": ProjSpace(4),
         "P2xP1xP1": MultiProj((2, 1, 1)),
+        "P2xP0xP1": MultiProj((2, 0, 1)),
         "bundle": ProjBundle(p2, 3, e.chern),
         "tower": ProjBundle(level1, 2, chern2),
         "corrupted": CorruptedBundle(p2, 3, e.chern),
@@ -307,6 +309,18 @@ class TestSympyOracle:
             want = oracle.normal_form(_monomial(oracle.syms, mono))
             assert oracle.sympy.expand(oracle.poly(got) - want) == 0
 
+    def test_cap_saturated_products(self, oracle):
+        # monomials whose exponents are 0 or at the cap give the largest slot
+        # sums of the integer keys, which must not carry; top_monomial^2
+        # and z^(r-1) z^(r-1) are among their products
+        ambient = oracle.ambient
+        saturated = [ambient.from_coeffs({mono: 1}) for mono in
+                     product(*((0, g.cap) for g in ambient.generators))]
+        for i, a in enumerate(saturated):
+            for b in saturated[i:]:
+                want = oracle.normal_form(oracle.poly(a) * oracle.poly(b))
+                assert oracle.sympy.expand(oracle.poly(a * b) - want) == 0
+
     @pytest.mark.parametrize("name", ["bundle", "corrupted", "tower"])
     def test_parse_reduces_rewrite_generators(self, sympy, name):
         oracle = _Oracle(sympy, RINGS[name])
@@ -373,3 +387,45 @@ class TestNormalFormMemo:
                 if N <= n:
                     want[(N, 0)] = 1 - N
                 assert parse_class(ring, f"z^{N}").coeffs == want
+
+
+# -- normal-form invariant -----------------------------------------------------------
+
+
+def _within_caps(a):
+    caps = a.ambient.top_monomial
+    return all(all(e <= cap for e, cap in zip(mono, caps)) for mono in a.coeffs)
+
+
+class TestNormalFormInvariant:
+    """Every constructor keeps each exponent within its cap.
+
+    The product kernel sums integer keys with base 2 cap + 1 per exponent,
+    which is exact only on normal-form operands.
+    """
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_constructors_stay_within_caps(self, name):
+        ambient = RINGS[name]
+        rng = random.Random(15)
+        ceiling = [2 * g.cap + 1 for g in ambient.generators]
+        for _ in range(20):
+            raw = {tuple(rng.randint(0, e) for e in ceiling): rng.randint(-9, 9)
+                   for _ in range(6)}
+            a = ambient.from_coeffs(raw)
+            b = _sample(rng, ambient)
+            ell = b.components()[1][1]
+            made = [a, a.dual(), a * b, line_twist(a, ell, rng.randint(-3, 3)),
+                    _sample(rng, ambient, unit=1).inverse()]
+            made += [part for _, part in a.components()]
+            if isinstance(ambient, ProjBundle):
+                made.append(ambient.pullback(_sample(rng, ambient.base)))
+            for c in made:
+                assert _within_caps(c)
+
+    @pytest.mark.parametrize("name", REWRITE_RINGS)
+    def test_bundle_classes_stay_within_caps(self, name):
+        ring = RINGS[name]
+        assert _within_caps(grothendieck_residual(ring))
+        assert _within_caps(ring.sub_chern)
+        assert _within_caps(ring.relative_tangent_chern)
