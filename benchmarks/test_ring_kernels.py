@@ -32,7 +32,7 @@ from milnor_classes.bundles import (
 )
 from milnor_classes.charclass import aluffi_tensor
 from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
-from milnor_classes.lecycles import le_to_milnor, milnor_pieces, milnor_to_le
+from milnor_classes.lecycles import le_to_milnor, milnor_to_le
 
 
 def _tower() -> ProjBundle:
@@ -108,9 +108,8 @@ def test_twist_chern(benchmark):
 
 def test_milnor_to_le(benchmark):
     tangent, l = _case(CASES["P200"])
-    pieces = milnor_pieces(tangent)
-    le = benchmark(milnor_to_le, pieces, l)
-    assert le_to_milnor(le, l) == pieces
+    le = benchmark(milnor_to_le, tangent, l)
+    assert le_to_milnor(le, l) == tangent
 
 
 def _fresh(make, *args):

@@ -12,7 +12,6 @@ from .chow import (
     MultiProj,
     ProjBundle,
     ProjSpace,
-    make_ambient,
     parse_class,
 )
 from .bundles import (
@@ -46,7 +45,7 @@ from .charclass import (
     segre_builtin,
     virtual_class,
 )
-from .lecycles import LeCycles, le_to_milnor, milnor_from_le_intersection, milnor_to_le
+from .lecycles import le_to_milnor, milnor_to_le
 from .intersect import (
     IntersectionScenario,
     cross_validate,

@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, le, mul
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class AmbientMismatchError(ValueError):
@@ -418,19 +418,6 @@ class ProjBundle(AmbientSpace):
 
     def __repr__(self) -> str:
         return f"ProjBundle({self.base!r}, rank={self.rank})"
-
-
-def make_ambient(spec: AmbientSpace | int | Iterable[int]) -> AmbientSpace:
-    """Normalize a short description into a validated AmbientSpace.
-
-    Accepts an existing ambient, an int n (P^n), or an iterable of factor
-    dimensions (a product of projective spaces).
-    """
-    if isinstance(spec, AmbientSpace):
-        return spec
-    if isinstance(spec, int):
-        return ProjSpace(spec)
-    return MultiProj(tuple(spec))
 
 
 def add_products(acc: dict[int, int], left: list[tuple[int, int, int]],

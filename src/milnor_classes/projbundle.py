@@ -35,11 +35,6 @@ def make_bundle_ring(base: AmbientSpace, e: BundleClass) -> ProjBundle:
     return ProjBundle(base, e.rank, e.chern)
 
 
-def o1(ring: ProjBundle) -> BundleClass:
-    """The tautological quotient line bundle O(1)."""
-    return BundleClass(ring, 1, ring.one() + ring.zeta())
-
-
 def taut_sub_chern(ring: ProjBundle) -> BundleClass:
     """The tautological sub-bundle F: rank r-1, c(F) = c(p*E) (1+zeta)^(-1).
 

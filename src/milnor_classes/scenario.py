@@ -30,7 +30,7 @@ from .charclass import (
     segre_builtin,
 )
 from .intersect import FORMULAS, IntersectionScenario, cross_validate
-from .lecycles import LeCycles, le_to_milnor
+from .lecycles import le_to_milnor
 from .projbundle import GeneralCaseInput, make_bundle_ring, milnor_general
 from .strata import (
     StratificationError,
@@ -162,7 +162,7 @@ class HypersurfaceSpec:
     name: str
     hyp: StratifiedHypersurface | None       # None when only Le data is given
     line_bundle: BundleClass
-    le: LeCycles | None
+    le: CycleClass | None                    # total Le class, sum of the Lambda_k
     segre: CycleClass | None
     oracle_csm: CycleClass | None
     oracle_chi: int | None
@@ -216,14 +216,20 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
 
     le = None
     if "le_cycles" in hdata:
-        le_data = _typed(hdata["le_cycles"], dict, f"{fieldpath}.le_cycles")
-        classes = {}
-        for k, v in le_data.items():
+        # entry k is Lambda_k, homogeneous of codimension n - k; their sum
+        # fixes every entry, so the spec keeps only the total class
+        n = ambient.dimension
+        le = ambient.zero()
+        for k, v in _typed(hdata["le_cycles"], dict, f"{fieldpath}.le_cycles").items():
             kpath = f"{fieldpath}.le_cycles[{k}]"
-            if not (isinstance(k, str) and k.isascii() and k.isdigit()):
-                raise ScenarioError(kpath, "key must be a non-negative integer")
-            classes[int(k)] = _parse_class(ambient, v, kpath)
-        le = _checked(f"{fieldpath}.le_cycles", LeCycles, ambient, classes)
+            if not (isinstance(k, str) and k.isascii() and k.isdigit()
+                    and k == str(int(k)) and int(k) <= n):
+                raise ScenarioError(kpath, f"key must be an integer in 0..{n}")
+            lam = _parse_class(ambient, v, kpath)
+            if lam != lam.component(n - int(k)):
+                raise ScenarioError(kpath, f"Lambda_{k} must be homogeneous of "
+                                    f"codimension {n - int(k)}")
+            le = le + lam
     if hyp is None and le is None:
         raise ScenarioError(fieldpath, "needs strata and/or le_cycles data")
 
@@ -412,14 +418,12 @@ def _hyp_class_triple(spec: HypersurfaceSpec) -> ClassBundle3:
     """
     if spec.hyp is not None:
         return hypersurface_classes(spec.hyp, spec.oracle_csm)
-    pieces = le_to_milnor(spec.le, spec.line_bundle)
-    milnor = sum(pieces.values(), spec.line_bundle.ambient.zero())
-    return class_triple(spec.line_bundle, milnor, spec.oracle_csm)
+    return class_triple(spec.line_bundle, le_to_milnor(spec.le, spec.line_bundle),
+                        spec.oracle_csm)
 
 
 def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
                           formulas: set[str]) -> ReportSection:
-    ambient = spec.line_bundle.ambient
     sec = ReportSection(kind="hypersurface", title=f"hypersurface {spec.name}")
     sec.results["virt"] = cb.virt.render()
     sec.results["csm"] = cb.csm.render()
@@ -432,10 +436,9 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
     if spec.oracle_chi is not None:
         sec.verdicts["chi-oracle"] = cb.csm.degree() == spec.oracle_chi
     if spec.hyp is not None and spec.le is not None:
-        pieces = le_to_milnor(spec.le, spec.line_bundle)
-        le_total = sum(pieces.values(), ambient.zero())
-        sec.results["milnor-le"] = le_total.render()
-        sec.verdicts["le-agrees"] = le_total == cb.milnor
+        milnor_le = le_to_milnor(spec.le, spec.line_bundle)
+        sec.results["milnor-le"] = milnor_le.render()
+        sec.verdicts["le-agrees"] = milnor_le == cb.milnor
     if spec.hyp is not None and spec.segre is not None and (
             "aluffi" in formulas or not formulas):
         mu = mu_class(spec.hyp, spec.segre)

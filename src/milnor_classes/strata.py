@@ -144,10 +144,6 @@ class StratifiedHypersurface:
         open_name = self.open_stratum.name
         return tuple(s for s in self.strata if s.name != open_name)
 
-    @property
-    def hypersurface_class(self) -> CycleClass:
-        return self.line_bundle.c1()
-
 
 def mu_weight(s: Stratum, hyp: StratifiedHypersurface) -> int:
     """Local Milnor number of the hypersurface along the stratum.

@@ -27,14 +27,15 @@ from .bundles import (
 )
 from .charclass import (
     aluffi_milnor,
+    class_triple,
     hypersurface_classes,
     milnor_pp,
     mu_class,
     segre_builtin,
     virtual_class,
 )
-from .intersect import IntersectionScenario, cross_validate, selector_terms
-from .lecycles import le_to_milnor, milnor_pieces, milnor_to_le
+from .intersect import IntersectionScenario, cross_validate, milnor_cor11, selector_terms
+from .lecycles import le_to_milnor, milnor_to_le
 from .projbundle import (
     GeneralCaseInput,
     flat_pullback_check,
@@ -273,38 +274,26 @@ def _le_roundtrip(rng):
     ambient = ProjSpace(3)
     h = ambient.gen(0)
     l = line_bundle(ambient, rng.randint(1, 4))
-    m = {}
-    c1 = rng.randint(-9, 9)
-    c0 = rng.randint(-9, 9)
-    if c1:
-        m[1] = (h * h).scale(c1)
-    if c0:
-        m[0] = (h ** 3).scale(c0)
-    le = milnor_to_le(m, l, ambient=ambient)
+    m = (h * h).scale(rng.randint(-9, 9)) + (h ** 3).scale(rng.randint(-9, 9))
+    le = milnor_to_le(m, l)
     assert le_to_milnor(le, l) == m
-    assert milnor_to_le(le_to_milnor(le, l), l, ambient=ambient) == le
+    assert milnor_to_le(le_to_milnor(le, l), l) == le
 
 
 def _le_isolated(rng):
     ambient = ProjSpace(rng.choice([2, 3]))
-    m0 = ambient.point_class().scale(rng.randint(-5, 5))
-    m = {0: m0} if not m0.is_zero() else {}
-    le = milnor_to_le(m, line_bundle(ambient, 2), ambient=ambient)
-    assert le.classes == m
+    m = ambient.point_class().scale(rng.randint(-5, 5))
+    assert milnor_to_le(m, line_bundle(ambient, 2)) == m
 
 
 def _le_cor_equality(rng):
-    from .lecycles import milnor_from_le_intersection
-    from .intersect import milnor_cor11
-
     sc = random_scenario(rng)
-    les = [milnor_to_le(milnor_pieces(cb.milnor), h.line_bundle,
-                        ambient=sc.ambient)
-           for h, cb in zip(sc.hyps, sc.classes)]
-    result = milnor_from_le_intersection(
-        [(le, h.line_bundle) for le, h in zip(les, sc.hyps)],
-        [cb.virt for cb in sc.classes], [cb.csm for cb in sc.classes])
-    assert result == milnor_cor11(sc)
+    via_le = tuple(
+        class_triple(h.line_bundle, le_to_milnor(milnor_to_le(cb.milnor, h.line_bundle),
+                                                 h.line_bundle), cb.csm)
+        for h, cb in zip(sc.hyps, sc.classes))
+    assert (milnor_cor11(IntersectionScenario(sc.ambient, sc.hyps, via_le))
+            == milnor_cor11(sc))
 
 
 def _intersect_agreement(rng):

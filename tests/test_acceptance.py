@@ -11,6 +11,7 @@ from milnor_classes.chow import ProjSpace, parse_class
 from milnor_classes.bundles import direct_sum, line_bundle, top_chern
 from milnor_classes.charclass import (
     aluffi_milnor,
+    class_triple,
     milnor_pp,
     mu_class,
     segre_builtin,
@@ -18,7 +19,7 @@ from milnor_classes.charclass import (
 )
 from milnor_classes.examples import fixture_scenario, run_example
 from milnor_classes.intersect import IntersectionScenario, milnor_cor11
-from milnor_classes.lecycles import milnor_from_le_intersection, milnor_pieces, milnor_to_le
+from milnor_classes.lecycles import le_to_milnor, milnor_to_le
 from milnor_classes.projbundle import (
     GeneralCaseInput,
     grothendieck_residual,
@@ -118,19 +119,20 @@ def test_four_formula_agreement_randomized():
 
 def test_le_round_trip_and_intersection_equality():
     run_property("lecycles", "roundtrip")
-    # corollary route equals the telescoped route on intersection fixtures
+    # cor11 on Le-derived class triples equals cor11 on the strata triples
+    # on the intersection fixtures
     for name in ("two_planes_cap_plane_p3", "quadric_cone_cap_plane_p3"):
         sc_file = fixture_scenario(name)
         from milnor_classes.scenario import _hyp_class_triple
         triples = [_hyp_class_triple(s) for s in sc_file.hypersurfaces]
-        hyps = [s.hyp for s in sc_file.hypersurfaces]
-        les = [milnor_to_le(milnor_pieces(cb.milnor), h_.line_bundle, ambient=P3)
-               for h_, cb in zip(hyps, triples)]
-        via_le = milnor_from_le_intersection(
-            [(le, h_.line_bundle) for le, h_ in zip(les, hyps)],
-            [cb.virt for cb in triples], [cb.csm for cb in triples])
-        sc = IntersectionScenario(P3, tuple(hyps), tuple(triples))
-        assert via_le == milnor_cor11(sc)
+        hyps = tuple(s.hyp for s in sc_file.hypersurfaces)
+        via_le = tuple(
+            class_triple(h_.line_bundle,
+                         le_to_milnor(milnor_to_le(cb.milnor, h_.line_bundle),
+                                      h_.line_bundle), cb.csm)
+            for h_, cb in zip(hyps, triples))
+        sc = IntersectionScenario(P3, hyps, tuple(triples))
+        assert milnor_cor11(IntersectionScenario(P3, hyps, via_le)) == milnor_cor11(sc)
     _passed("le-round-trip-and-corollary-equality")
 
 

@@ -125,7 +125,7 @@ class TestDefinitionIdentity:
         ambient = hyp.ambient
         csm_oracle = parse_class(ambient, csm_text)
         assert csm_oracle.degree() == chi
-        virt = virtual_class(ambient, hyp.line_bundle, hyp.hypersurface_class)
+        virt = virtual_class(ambient, hyp.line_bundle, hyp.line_bundle.c1())
         n = ambient.dimension
         sign = -1 if (n - 1) % 2 else 1
         assert milnor_pp(hyp) == (virt - csm_oracle).scale(sign)

@@ -7,7 +7,6 @@ from milnor_classes.chow import (
     MultiProj,
     ProjBundle,
     ProjSpace,
-    make_ambient,
     parse_class,
 )
 from milnor_classes.bundles import direct_sum, line_bundle
@@ -20,7 +19,7 @@ P1xP1 = MultiProj((1, 1))
 
 class TestMakeAmbient:
     def test_p2(self):
-        amb = make_ambient(2)
+        amb = ProjSpace(2)
         assert amb == ProjSpace(2)
         assert amb.dimension == 2
         assert amb.gen_names == ("h",)
@@ -28,7 +27,7 @@ class TestMakeAmbient:
         assert (h ** 3).is_zero()
 
     def test_multiproj(self):
-        amb = make_ambient([1, 1])
+        amb = MultiProj((1, 1))
         assert amb.dimension == 2
         assert amb.gen_names == ("h1", "h2")
         assert (amb.gen(0) ** 2).is_zero()
@@ -42,9 +41,9 @@ class TestMakeAmbient:
 
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
-            make_ambient(-1)
+            ProjSpace(-1)
         with pytest.raises(ValueError):
-            make_ambient([1, -2])
+            MultiProj((1, -2))
 
     def test_bundle_base_mismatch_rejected(self):
         chern_on_p2 = line_bundle(P2, 1).chern

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from milnor_classes.chow import ProjSpace
-from milnor_classes.bundles import direct_sum, line_bundle, top_chern, trivial_bundle
+from milnor_classes.bundles import BundleClass, direct_sum, line_bundle, top_chern, trivial_bundle
 from milnor_classes.charclass import virtual_class
 from milnor_classes.projbundle import (
     GeneralCaseInput,
@@ -14,7 +14,6 @@ from milnor_classes.projbundle import (
     lemma_transfer,
     make_bundle_ring,
     milnor_general,
-    o1,
     taut_sub_chern,
     verify_tangent_identities,
 )
@@ -213,4 +212,4 @@ class TestO1:
         t = ring.relative_tangent_chern
         z = ring.zeta()
         assert t == (ring.one() + z) ** 3
-        assert o1(ring).c1() == z
+        assert BundleClass(ring, 1, ring.one() + z).c1() == z

@@ -257,6 +257,21 @@ class TestCli:
         assert fieldpath in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("k,text,message", [
+        ("5", "0", "integer in 0..3"),
+        ("1", "h^2 + h^3", "homogeneous of codimension 2"),
+        ("0", "h^2", "homogeneous of codimension 3"),
+    ], ids=["key-above-dim", "inhomogeneous", "wrong-codimension"])
+    def test_malformed_le_cycles_exit_2(self, tmp_path, k, text, message):
+        data = load_fixture("two_planes_le_route_p3")
+        data["hypersurfaces"][0]["le_cycles"] = {k: text}
+        path = tmp_path / "bad_le.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("compute", str(path), expect=2)
+        assert f"hypersurfaces[0].le_cycles[{k}]: " in result.stderr
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
