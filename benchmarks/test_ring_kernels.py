@@ -8,7 +8,11 @@ P^2 x P^2 x P^2 x P^2 (several truncate generators, many terms per
 codimension) and a two-level tower of projective bundles (rewrite
 generators reduced through both relations).  Operands are total tangent
 classes, dense in every codimension.  The inverse is also timed on
-c(TP^1000), three rounds of about a second each.  The
+c(TP^1000), three rounds of about a second each.  The Chern-root kernel
+`times_chern` is timed through its two largest callers, the virtual class
+of a hypersurface and c(TM)^(-1) (`_inv_tangent_power`), on P^1000 and on
+P^15 x P^15 x P^15, each on a fresh ambient per round and checked against
+the product with the expanded inverse.  The
 other callers of the line-twist kernel, `twist_chern` (the cotangent
 twist of the mu-class) and `milnor_to_le`, are timed on P^200.  The
 normal-form cases reduce on a fresh ring per round, so each round pays
@@ -30,8 +34,9 @@ from milnor_classes.bundles import (
     trivial_bundle,
     twist_chern,
 )
-from milnor_classes.charclass import aluffi_tensor
+from milnor_classes.charclass import aluffi_tensor, virtual_class
 from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
+from milnor_classes.intersect import _inv_tangent_power
 from milnor_classes.lecycles import le_to_milnor, milnor_to_le
 
 
@@ -91,6 +96,36 @@ def test_inverse_p1000(benchmark):
     inv = benchmark.pedantic(tangent.inverse, rounds=3)
     # c(TP^n) = (1+h)^(n+1), so its inverse has coefficients (-1)^k C(n+k, k)
     assert all(inv.coeffs[(k,)] == (-1) ** k * comb(1000 + k, k) for k in range(1001))
+
+
+ROOT_CASES = {"P1000": ((1000,), 3), "P15xP15xP15": ((15, 15, 15), (3, 1, 1))}
+
+
+def _ambient(dims):
+    return ProjSpace(dims[0]) if len(dims) == 1 else MultiProj(dims)
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_CASES))
+def test_virtual_class_large(benchmark, name):
+    dims, degree = ROOT_CASES[name]
+
+    def fresh():
+        ambient = _ambient(dims)
+        l = line_bundle(ambient, degree)
+        return (ambient, l, l.c1()), {}
+
+    virt = benchmark.pedantic(virtual_class, setup=fresh, rounds=3)
+    (ambient, l, x), _ = fresh()
+    assert virt.ambient == ambient
+    assert virt.coeffs == (ambient.tangent_chern * l.chern.inverse() * x).coeffs
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_CASES))
+def test_inv_tangent_large(benchmark, name):
+    dims, _ = ROOT_CASES[name]
+    inv = benchmark.pedantic(_inv_tangent_power.__wrapped__,
+                             setup=lambda: ((_ambient(dims), 1), {}), rounds=3)
+    assert inv.coeffs == _ambient(dims).tangent_chern.inverse().coeffs
 
 
 def test_aluffi_tensor(benchmark, case):

@@ -21,6 +21,7 @@ from .bundles import (
     line_bundle,
     tangent_bundle,
     tensor_line,
+    times_chern,
     top_chern,
     trivial_bundle,
 )

@@ -4,14 +4,25 @@ A bundle is identified with its rank and total Chern class; that is all
 the downstream class formulas consume.  Every twist by a line bundle, here
 and in the Aluffi and Le-cycle formulas, goes through one kernel,
 `line_twist`; ranks are unrestricted but the twist must be a line bundle.
+
+A bundle may also carry Chern roots: (class, multiplicity) pairs with
+codimension-1 (or zero) classes ell and multiplicities m summing to the
+rank, so that c(E) = prod (1 + ell)^m (the splitting principle, Fulton,
+*Intersection Theory* 3.2).  Negative multiplicities stand for virtual
+summands: TP^n = O(1)^(n+1) - O has the roots {h: n+1, 0: -1}.  Line,
+trivial and tangent bundles get roots, and direct sums, duals and twists
+keep them.  Every product with c(E)^(+-1) or a power of it goes through
+one kernel, `times_chern`, which multiplies or divides by one (1 + ell) at
+a time; data without roots keeps the expanded class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
+from typing import Iterable
 
 from .chow import (
     AmbientMismatchError,
@@ -22,14 +33,41 @@ from .chow import (
     add_products,
 )
 
+# Chern roots: (ell, m) pairs standing for the factor (1 + ell)^m
+Roots = tuple[tuple[CycleClass, int], ...]
+
+
+def _merge_roots(pairs: Iterable[tuple[CycleClass, int]]) -> Roots:
+    """Add the multiplicities of equal classes and drop the pairs that reach 0."""
+    merged: list[list] = []
+    for ell, m in pairs:
+        for entry in merged:
+            if entry[0] == ell:
+                entry[1] += m
+                break
+        else:
+            merged.append([ell, m])
+    return tuple((ell, m) for ell, m in merged if m)
+
+
+def _is_root(ell: CycleClass) -> bool:
+    """ell is zero or homogeneous of codimension 1."""
+    return all(map((1).__eq__, map(sum, ell.coeffs)))
+
 
 @dataclass(frozen=True)
 class BundleClass:
-    """A formal bundle: rank plus total Chern class with degree-0 part 1."""
+    """A formal bundle: rank plus total Chern class with degree-0 part 1.
+
+    roots, when known, are Chern roots with multiplicities summing to the
+    rank (a class may repeat); they are not checked against chern and do
+    not enter equality.
+    """
 
     ambient: AmbientSpace
     rank: int
     chern: CycleClass
+    roots: Roots | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -42,15 +80,18 @@ class BundleClass:
             if self._pieces[k]:
                 raise ValueError(
                     f"Chern class has a nonzero part in codimension {k} > rank {self.rank}")
+        if self.roots is not None:
+            for ell, _ in self.roots:
+                if ell.ambient is not self.ambient and ell.ambient != self.ambient:
+                    raise AmbientMismatchError("Chern root lives on a different ambient")
+                if not _is_root(ell):
+                    raise ValueError(f"Chern root {ell.render()} is not of codimension 1")
+            if sum(map(itemgetter(1), self.roots)) != self.rank:
+                raise ValueError(f"root multiplicities do not sum to the rank {self.rank}")
 
     @cached_property
     def _pieces(self) -> list[CycleClass]:
         return [part for _, part in self.chern.components()]
-
-    @cached_property
-    def inverse_chern(self) -> CycleClass:
-        """c(E)^(-1), inverted once per bundle."""
-        return self.chern.inverse()
 
     def c(self, k: int) -> CycleClass:
         """The k-th Chern class; zero beyond the ambient dimension."""
@@ -76,30 +117,36 @@ def line_bundle(ambient: AmbientSpace, multidegree: int | tuple[int, ...] | list
     c1 = ambient.zero()
     for i, d in enumerate(degs):
         c1 = c1 + ambient.gen(i).scale(d)
-    return BundleClass(ambient, 1, ambient.one() + c1)
+    return BundleClass(ambient, 1, ambient.one() + c1, ((c1, 1),))
 
 
 def trivial_bundle(ambient: AmbientSpace, rank: int = 1) -> BundleClass:
-    return BundleClass(ambient, rank, ambient.one())
+    return BundleClass(ambient, rank, ambient.one(), ((ambient.zero(), rank),))
 
 
 def direct_sum(e: BundleClass, f: BundleClass) -> BundleClass:
-    """Whitney sum: ranks add, total Chern classes multiply."""
+    """Whitney sum: ranks add, total Chern classes multiply, root lists join."""
     if e.ambient != f.ambient:
         raise AmbientMismatchError("direct_sum operands live on different ambients")
-    return BundleClass(e.ambient, e.rank + f.rank, e.chern * f.chern)
-
-
-def bundle_power(e: BundleClass, copies: int) -> BundleClass:
-    """E^(+ copies); copies = 0 gives the rank-0 bundle."""
-    if copies < 0:
-        raise ValueError("negative number of copies")
-    return BundleClass(e.ambient, e.rank * copies, e.chern ** copies)
+    roots = None if e.roots is None or f.roots is None else e.roots + f.roots
+    return BundleClass(e.ambient, e.rank + f.rank, e.chern * f.chern, roots)
 
 
 def dual(e: BundleClass) -> BundleClass:
-    """c_k(E^v) = (-1)^k c_k(E)."""
-    return BundleClass(e.ambient, e.rank, e.chern.dual())
+    """c_k(E^v) = (-1)^k c_k(E); the roots change sign."""
+    roots = None if e.roots is None else tuple((-ell, m) for ell, m in e.roots)
+    return BundleClass(e.ambient, e.rank, e.chern.dual(), roots)
+
+
+def chern_roots(e: BundleClass, s: int = 1) -> Roots:
+    """The factors of c(E)^s for `times_chern`.
+
+    E's roots with every multiplicity times s; a bundle without roots gives
+    the one factor (c(E) - 1, s), which `times_chern` keeps expanded.
+    """
+    if e.roots is None:
+        return ((e.chern - e.ambient.one(), s),)
+    return tuple((ell, m * s) for ell, m in e.roots)
 
 
 def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
@@ -114,14 +161,27 @@ def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
     """
     ambient = a.ambient
     n = ambient.dimension
-    ell_terms = ambient.key_terms(ell.coeffs)
-    powers = [[(0, 0, 1)]]  # key terms of ell^i, built on demand
+    series = _binomial_series(ell)
     acc: dict[int, int] = {}
-    for k, part in groupby(ambient.key_terms(a.coeffs), itemgetter(0)):
-        e = s - k
-        series = []  # (1 + ell)^e up to codimension n - k
+    for k, part in groupby(a.key_terms(), itemgetter(0)):
+        add_products(acc, list(part), series(s - k, n - k), n)
+    return CycleClass(ambient, ambient.settle(acc))
+
+
+def _binomial_series(ell: CycleClass):
+    """series(e, top): key terms of (1 + ell)^e up to codimension top.
+
+    The calls share the key terms of the powers ell^i, built on demand.
+    """
+    ambient = ell.ambient
+    n = ambient.dimension
+    ell_terms = ell.key_terms()
+    powers = [[(0, 0, 1)]]
+
+    def series(e: int, top: int) -> list[tuple[int, int, int]]:
+        out = []
         binom = 1
-        for i in range(n - k + 1):
+        for i in range(top + 1):
             if i:
                 binom = binom * (e - i + 1) // i
                 if not binom:  # e >= 0 and i > e: the series has ended
@@ -129,10 +189,122 @@ def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
             if i == len(powers):
                 step: dict[int, int] = {}
                 add_products(step, powers[-1], ell_terms, n)
-                powers.append(ambient.key_terms(ambient.settle(step)))
-            series += [(i, key, binom * c) for _, key, c in powers[i]]
-        add_products(acc, list(part), series, n)
-    return CycleClass(ambient, ambient.settle(acc))
+                powers.append(ambient.settle_terms(step, i))
+            if not powers[i]:  # ell^i = 0, and so is every higher power
+                break
+            out += [(i, key, binom * c) for _, key, c in powers[i]]
+        return out
+
+    return series
+
+
+def times_chern(a: CycleClass, roots: Iterable[tuple[CycleClass, int]]) -> CycleClass:
+    """a prod (1 + ell)^m over the (ell, m) pairs of roots.
+
+    The product of a with c(E)^s is times_chern(a, chern_roots(E, s)).
+    Factors with m > 0 go first, since a division makes a sparse class
+    dense, and a factor that cannot reach past a's top codimension is
+    skipped.  A root ell of codimension 1 enters one (1 + ell) at a time: a
+    product with 1 + ell for m > 0, and for m < 0 the graded recurrence
+    b_k = a_k - ell b_(k-1), which solves b (1 + ell) = a (`_divide`).
+    When ell is a multiple c g of one truncate generator, (1 + ell)^m has at
+    most cap + 1 terms; its binomial series, the one `line_twist` uses, is
+    multiplied in at once where that takes fewer coefficient products.  A
+    factor x that is not of codimension 1 (c(E) - 1 of a bundle without
+    roots) is expanded: a (1 + x)^m, through the inverse of 1 + x when
+    m < 0.
+    """
+    ambient = a.ambient
+    dim = ambient.dimension
+    one = ambient.one()
+    for ell, m in sorted(_merge_roots(roots), key=lambda root: root[1] < 0):
+        if not ell or not a:
+            continue
+        if not _is_root(ell):
+            a = a * (one + ell) ** m
+            continue
+        terms = a.key_terms()
+        top = dim - terms[0][0]  # (1 + ell)^m matters up to this codimension
+        if not top:
+            continue
+        cap = _truncate_cap(ell)
+        # coefficient products per term of a: series against one at a time
+        if cap is not None and min(top, cap) + 1 <= abs(m) * (1 + (m > 0)):
+            acc: dict[int, int] = {}
+            add_products(acc, terms, _binomial_series(ell)(m, top), dim)
+            a = CycleClass(ambient, ambient.settle(acc))
+        elif m > 0:
+            for _ in range(m):
+                a = a * (one + ell)
+        else:
+            a = _divide(a, ell, -m)
+    return a
+
+
+def _truncate_cap(ell: CycleClass) -> int | None:
+    """The cap of the truncate generator g when ell = c g, else None."""
+    if len(ell.coeffs) != 1:
+        return None
+    (mono,) = ell.coeffs
+    gen = ell.ambient.generators[mono.index(1)]
+    return None if gen.rewrite else gen.cap
+
+
+def _divide(a: CycleClass, ell: CycleClass, times: int) -> CycleClass:
+    """a (1 + ell)^(-times) for ell of codimension 1: b_k = a_k - ell b_(k-1), times times.
+
+    When ell has only truncate generators, a product with ell never leaves
+    normal form except to vanish, so the recurrence runs on keys:
+    b[key] = a[key] - sum_g c_g b[key - place(g)] over the terms c_g g of
+    ell with a nonzero g-exponent in key, in ascending key order.  With a
+    rewrite generator in ell, each b_k is one `add_products` and one
+    `settle_terms`.
+    """
+    ambient = a.ambient
+    gens = ambient.generators
+    shifts = []  # (place, base, cap, -c) of each term c g of ell
+    for mono, c in ell.coeffs.items():
+        j = mono.index(1)
+        if gens[j].rewrite:
+            return _divide_by_codimension(a, ell, times)
+        shifts.append((ambient._places[j], ambient._bases[j], gens[j].cap, -c))
+    b = {key: c for _, key, c in a.key_terms()}
+    for _ in range(times):
+        support = set(b)  # keys that b (1 + ell)^(-1) can reach
+        frontier = list(b)
+        while frontier:
+            key = frontier.pop()
+            for place, base, cap, _ in shifts:
+                if key // place % base < cap and key + place not in support:
+                    support.add(key + place)
+                    frontier.append(key + place)
+        out: dict[int, int] = {}
+        for key in sorted(support):
+            v = b.get(key, 0)
+            for place, base, _, c in shifts:
+                if key // place % base:
+                    v += c * out.get(key - place, 0)
+            out[key] = v
+        b = out
+    return CycleClass(ambient, ambient.settle(b))
+
+
+def _divide_by_codimension(a: CycleClass, ell: CycleClass, times: int) -> CycleClass:
+    """`_divide` for ell with a rewrite generator: products with ell are settled."""
+    ambient = a.ambient
+    dim = ambient.dimension
+    minus_ell = [(d, key, -c) for d, key, c in ell.key_terms()]
+    terms = a.key_terms()
+    for _ in range(times):
+        pieces = {k: list(part) for k, part in groupby(terms, itemgetter(0))}
+        terms, prev = [], []
+        for k in range(min(pieces), dim + 1):
+            acc = {key: c for _, key, c in pieces.get(k, ())}
+            add_products(acc, prev, minus_ell, dim)  # b_k = a_k - ell b_(k-1)
+            prev = ambient.settle_terms(acc, k)
+            terms += prev
+    # pieces of distinct codimension never share a key
+    return CycleClass(ambient, ambient.settle({key: c for _, key, c in terms}))
 
 
 def twist_chern(chern: CycleClass, rank: int, ell: CycleClass) -> CycleClass:
@@ -151,12 +323,15 @@ def tensor_line(e: BundleClass, l: BundleClass) -> BundleClass:
         raise ValueError(f"twist must be a line bundle, got rank {l.rank}")
     if e.ambient != l.ambient:
         raise AmbientMismatchError("tensor_line operands live on different ambients")
-    return BundleClass(e.ambient, e.rank, twist_chern(e.chern, e.rank, l.c1()))
+    ell = l.c1()
+    roots = None if e.roots is None else tuple((x + ell, m) for x, m in e.roots)
+    return BundleClass(e.ambient, e.rank, twist_chern(e.chern, e.rank, ell), roots)
 
 
 def tangent_bundle(ambient: AmbientSpace) -> BundleClass:
-    """Tangent bundle of any supported ambient, from its cached c(TM)."""
-    return BundleClass(ambient, ambient.dimension, ambient.tangent_chern)
+    """Tangent bundle of any supported ambient, from its cached c(TM) and roots."""
+    return BundleClass(ambient, ambient.dimension, ambient.tangent_chern,
+                       ambient.tangent_roots)
 
 
 def top_chern(e: BundleClass) -> CycleClass:

@@ -4,10 +4,10 @@ All classes are represented by their pushforward in the ambient Chow ring.
 For a hypersurface X of a line bundle L on M (dim M = n):
 
 * virtual class  c(TM) c(L)^(-1) c1(L), the Chern class a smoothing would
-  have;
+  have: c(TM) c1(L), divided by 1 + c1(L);
 * Milnor class via the weighted-strata sum
-      M(X) = sum_S gamma_S c(L)^(-1) c^SM(closure S),
-  supported on the singular strata;
+      M(X) = c(L)^(-1) sum_S gamma_S c^SM(closure S),
+  supported on the singular strata, with one division by 1 + c1(L);
 * CSM class recovered from the definition
       M(X) = (-1)^(dim X) (c^Vir(X) - c^SM(X)).
 
@@ -15,8 +15,9 @@ The mu-class route (cotangent twist against the Segre class of the
 singular locus) provides an independent second computation of M(X); its
 grading convention is ambient codimension and its global sign is (-1)^n,
 both frozen by the hypersurface calibration fixtures in the test suite.
-Aluffi's a (x) L, the cotangent twist and the route's c(L)^(n-1) factor are
-each one call of the line-twist kernel `bundles.line_twist`.
+Aluffi's a (x) L, the linear Segre class and the route's c(L)^(n-1) factor
+are each one call of the line-twist kernel `bundles.line_twist`; the
+cotangent twist c(T*M (x) L) enters through its Chern roots ell - x.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chow import AmbientSpace, CycleClass, ProjSpace
-from .bundles import BundleClass, line_twist, top_chern, twist_chern
+from .bundles import (
+    BundleClass,
+    chern_roots,
+    line_twist,
+    times_chern,
+    top_chern,
+    twist_chern,
+)
 from .strata import StratifiedHypersurface, gamma_weights
 
 
@@ -48,20 +56,18 @@ def virtual_class(ambient: AmbientSpace, e: BundleClass, x_class: CycleClass) ->
         raise ValueError(
             "x_class does not equal the top Chern class of the bundle; "
             "not the zero set of a regular section")
-    return ambient.tangent_chern * e.inverse_chern * x_class
+    return times_chern(ambient.tangent_chern * x_class, chern_roots(e, -1))
 
 
 def milnor_pp(hyp: StratifiedHypersurface) -> CycleClass:
-    """Weighted-strata Milnor class: sum_S gamma_S c(L)^(-1) c^SM(closure S)."""
+    """Weighted-strata Milnor class: c(L)^(-1) sum_S gamma_S c^SM(closure S)."""
     gammas = gamma_weights(hyp)
-    l_inv = hyp.line_bundle.inverse_chern
     total = hyp.ambient.zero()
     for s in hyp.singular_strata:
         g = gammas[s.name]
-        if g == 0:
-            continue
-        total = total + (l_inv * s.csm_closure).scale(g)
-    return total
+        if g:
+            total = total + s.csm_closure.scale(g)
+    return times_chern(total, chern_roots(hyp.line_bundle, -1))
 
 
 def csm_from_milnor(virt: CycleClass, milnor: CycleClass,
@@ -87,7 +93,8 @@ def segre_builtin(ambient: AmbientSpace, center: str, arg: int) -> CycleClass:
     """Closed-form Segre classes for the builtin singular-locus shapes.
 
     points(k): k reduced points, s = k [pt].
-    linear(m): a linear P^m in P^n, s = (1+h)^-(n-m) h^(n-m).
+    linear(m): a linear P^m in P^n, s = (1+h)^-(n-m) h^(n-m), the Aluffi
+    twist h^(n-m) (x) O(1).
     Anything else needs scheme-theoretic Segre machinery that this
     calculator deliberately does not contain.
     """
@@ -102,17 +109,24 @@ def segre_builtin(ambient: AmbientSpace, center: str, arg: int) -> CycleClass:
         if not 0 <= arg < n:
             raise ValueError(f"linear({arg}) out of range in P^{n}")
         h = ambient.gen(0)
-        codim = n - arg
-        return ((ambient.one() + h) ** codim).inverse() * h ** codim
+        return line_twist(h ** (n - arg), h, 0)
     raise ValueError(
         f"unsupported Segre center {center!r}: only the builtin closed forms "
         "points(k) and linear(m) are available")
 
 
 def mu_class(hyp: StratifiedHypersurface, segre: CycleClass) -> CycleClass:
-    """Aluffi mu-class: c(T*M (x) L) cap s(Sing X, M)."""
-    n = hyp.ambient.dimension
-    return twist_chern(hyp.ambient.tangent_chern.dual(), n, hyp.line_bundle.c1()) * segre
+    """Aluffi mu-class: c(T*M (x) L) cap s(Sing X, M).
+
+    T*M (x) L has the roots ell - x for the roots x of TM (ell = c1(L)); on
+    P^n they are {ell - h: n+1, ell: -1}.  Without tangent roots the twist
+    is expanded.
+    """
+    ambient = hyp.ambient
+    ell = hyp.line_bundle.c1()
+    if ambient.tangent_roots is None:
+        return twist_chern(ambient.tangent_chern.dual(), ambient.dimension, ell) * segre
+    return times_chern(segre, [(ell - x, m) for x, m in ambient.tangent_roots])
 
 
 def aluffi_milnor(hyp: StratifiedHypersurface, mu: CycleClass) -> CycleClass:

@@ -21,12 +21,21 @@ mixed-radix integer with base 2 cap + 1 per generator.  Precondition: both
 factors are in normal form, so every exponent is at most its cap; then
 each exponent of a product monomial is at most 2 cap, no slot carries, and
 the key of a product is the sum of the keys.  One kernel serves multiply,
-inverse and the line twist (`bundles.line_twist`): `add_products` sums
+inverse, the line twist (`bundles.line_twist`) and the Chern-root
+products and divisions (`bundles.times_chern`): `add_products` sums
 coefficients over integer keys, skipping pairs past the top codimension,
 and `AmbientSpace.settle` takes each distinct key of the sum once: it
 keeps an in-cap monomial, drops one with a truncate generator above its
 cap and reduces one with only rewrite generators above their caps.  Each
-ring keeps the normal form of every key it has settled.
+ring keeps the normal form of every key it has settled, and each class
+its key terms once encoded.  The graded recurrences (inverse, division by
+1 + ell, powers of ell) settle one codimension at a time with
+`settle_terms`, which stays in key space.
+
+The tangent class of every ambient comes from its Chern roots (see
+`bundles`): TP^n = O(1)^(n+1) - O, a product of projective spaces takes
+one such term per factor, and P(E^v) adds p*E^v (x) O(1) - O when E is
+split.
 
 Coefficients are Python ints (arbitrary precision); any inversion of a
 class whose degree-0 part is not a unit raises instead of rounding.
@@ -104,14 +113,12 @@ class AmbientSpace:
         """Normal form of the monomial of every key settled so far in this ring."""
         return {}
 
-    # -- product kernel -----------------------------------------------------
+    @cached_property
+    def _keyed_forms(self) -> dict[int, list[tuple[int, int]]]:
+        """The same normal forms as (key, coefficient) pairs, for `settle_terms`."""
+        return {}
 
-    def key_terms(self, coeffs: Mapping[tuple[int, ...], int]) -> list[tuple[int, int, int]]:
-        """(codimension, key, coefficient) of every normal-form monomial, by codimension."""
-        places = self._places
-        terms = [(sum(m), sum(map(mul, m, places)), c) for m, c in coeffs.items()]
-        terms.sort()
-        return terms
+    # -- product kernel -----------------------------------------------------
 
     def settle(self, acc: Mapping[int, int]) -> dict[tuple[int, ...], int]:
         """Normal form of a sum of product keys, each decoded once per ring.
@@ -130,16 +137,44 @@ class AmbientSpace:
                 continue
             form = forms.get(key)
             if form is None:
-                exps = []
-                rest = key
-                for base in self._bases:
-                    rest, e = divmod(rest, base)
-                    exps.append(e)
-                form = forms[key] = {}
-                self._reduce_term(tuple(exps), 1, form)
+                form = self._key_form(key)
             for m, v in form.items():
                 out[m] = get(m, 0) + c * v
         return {m: c for m, c in out.items() if c}
+
+    def settle_terms(self, acc: Mapping[int, int], codim: int) -> list[tuple[int, int, int]]:
+        """`settle` of a sum of keys of one codimension, kept as key terms.
+
+        Every relation is homogeneous, so the normal form stays in that
+        codimension; the (codimension, key, coefficient) terms feed the next
+        `add_products` without decoding, and `settle` of their keys gives
+        the monomials at the end.
+        """
+        forms = self._keyed_forms
+        out: dict[int, int] = {}
+        get = out.get
+        for key, c in acc.items():
+            if not c:
+                continue
+            form = forms.get(key)
+            if form is None:
+                places = self._places
+                form = forms[key] = [(sum(map(mul, m, places)), v)
+                                     for m, v in self._key_form(key).items()]
+            for k, v in form:
+                out[k] = get(k, 0) + c * v
+        return [(codim, k, c) for k, c in out.items() if c]
+
+    def _key_form(self, key: int) -> dict[tuple[int, ...], int]:
+        """Decode a key into its monomial and keep its normal form in `_key_forms`."""
+        exps = []
+        rest = key
+        for base in self._bases:
+            rest, e = divmod(rest, base)
+            exps.append(e)
+        form = self._key_forms[key] = {}
+        self._reduce_term(tuple(exps), 1, form)
+        return form
 
     # -- class constructors -------------------------------------------------
 
@@ -174,9 +209,16 @@ class AmbientSpace:
         return CycleClass(self, {m: c for m, c in out.items() if c})
 
     @cached_property
+    def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
+        """Chern roots of the tangent bundle (see `bundles`), None when unknown."""
+        return None
+
+    @cached_property
     def tangent_chern(self) -> "CycleClass":
-        """Total Chern class of the tangent bundle, computed once per instance."""
-        raise NotImplementedError
+        """Total Chern class of the tangent bundle, the product over its roots."""
+        from .bundles import times_chern
+
+        return times_chern(self.one(), self.tangent_roots)
 
     # -- normal form --------------------------------------------------------
 
@@ -274,8 +316,9 @@ class ProjSpace(AmbientSpace):
         return (Generator("h", self.n),)
 
     @cached_property
-    def tangent_chern(self) -> "CycleClass":
-        return (self.one() + self.gen(0)) ** (self.n + 1)
+    def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...]":
+        # Euler sequence: TP^n = O(1)^(n+1) - O
+        return ((self.gen(0), self.n + 1), (self.zero(), -1))
 
     def __repr__(self) -> str:
         return f"ProjSpace({self.n})"
@@ -303,11 +346,10 @@ class MultiProj(AmbientSpace):
         return tuple(Generator(f"h{i + 1}", d) for i, d in enumerate(self.dims))
 
     @cached_property
-    def tangent_chern(self) -> "CycleClass":
-        total = self.one()
-        for i, d in enumerate(self.dims):
-            total = total * (self.one() + self.gen(i)) ** (d + 1)
-        return total
+    def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...]":
+        # one Euler sequence per factor
+        return tuple((self.gen(i), d + 1) for i, d in enumerate(self.dims)) + (
+            (self.zero(), -len(self.dims)),)
 
     def __repr__(self) -> str:
         return f"MultiProj{self.dims}"
@@ -316,20 +358,26 @@ class MultiProj(AmbientSpace):
 class ProjBundle(AmbientSpace):
     """Total space of P(E^v) -> base for a formal bundle E of rank r >= 1.
 
-    The bundle is recorded by its rank and total Chern class on the base.
-    The tautological quotient line bundle O(1) contributes the generator z.
+    The bundle is recorded by its rank and total Chern class on the base,
+    and by its Chern roots on the base when E is split (they do not enter
+    equality).  The tautological quotient line bundle O(1) contributes the
+    generator z.
     """
 
-    def __init__(self, base: AmbientSpace, rank: int, chern: "CycleClass"):
+    def __init__(self, base: AmbientSpace, rank: int, chern: "CycleClass",
+                 roots: "tuple[tuple[CycleClass, int], ...] | None" = None):
         if rank < 1:
             raise ValueError(f"bundle rank must be >= 1, got {rank}")
         if chern.ambient != base:
             raise AmbientMismatchError("bundle Chern class does not live on the base ambient")
         if chern.component(0) != base.one():
             raise ValueError("bundle Chern class must have degree-0 part 1")
+        if roots is not None and sum(m for _, m in roots) != rank:
+            raise ValueError(f"root multiplicities do not sum to the rank {rank}")
         self.base = base
         self.rank = rank
         self.chern = chern
+        self.roots = roots
 
     @property
     def dimension(self) -> int:
@@ -400,7 +448,33 @@ class ProjBundle(AmbientSpace):
         Raw Chern data like relative_tangent_chern: with a corrupted relation
         its parts in codimension >= r stay nonzero rather than raising.
         """
-        return self.pullback(self.chern) * (self.one() + self.zeta()).inverse()
+        from .bundles import times_chern
+
+        return times_chern(self.pullback(self.chern), ((self.zeta(), -1),))
+
+    @cached_property
+    def relative_tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
+        """Roots z - p*e of p*E^v (x) O(1), one per root e of E; None without roots."""
+        if self.roots is None:
+            return None
+        z = self.zeta()
+        return tuple((z - self.pullback(e), m) for e, m in self.roots)
+
+    @cached_property
+    def sub_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
+        """Roots of F = p*E - O(1): the p*e of E's roots and z with multiplicity -1."""
+        if self.roots is None:
+            return None
+        return tuple((self.pullback(e), m) for e, m in self.roots) + ((self.zeta(), -1),)
+
+    @cached_property
+    def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
+        # T = p*T_base + T_rel, and T_rel = p*E^v (x) O(1) - O (Euler sequence)
+        base_roots = self.base.tangent_roots
+        if base_roots is None or self.roots is None:
+            return None
+        return (tuple((self.pullback(x), m) for x, m in base_roots)
+                + self.relative_tangent_roots + ((self.zero(), -1),))
 
     @cached_property
     def tangent_chern(self) -> "CycleClass":
@@ -448,12 +522,13 @@ class CycleClass:
     codimension (total exponent).
     """
 
-    __slots__ = ("ambient", "coeffs", "_hash")
+    __slots__ = ("ambient", "coeffs", "_hash", "_terms")
 
     def __init__(self, ambient: AmbientSpace, coeffs: dict[tuple[int, ...], int]):
         self.ambient = ambient
         self.coeffs = coeffs
         self._hash: int | None = None
+        self._terms: list[tuple[int, int, int]] | None = None
 
     # -- basic protocol ------------------------------------------------------
 
@@ -470,6 +545,18 @@ class CycleClass:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
+
+    def key_terms(self) -> list[tuple[int, int, int]]:
+        """(codimension, key, coefficient) of every term, by codimension.
+
+        Encoded once and kept on the class; callers must not change the list.
+        """
+        if self._terms is None:
+            places = self.ambient._places
+            terms = [(sum(m), sum(map(mul, m, places)), c) for m, c in self.coeffs.items()]
+            terms.sort()
+            self._terms = terms
+        return self._terms
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -517,8 +604,7 @@ class CycleClass:
         self._check_same(other)
         ambient = self.ambient
         acc: dict[int, int] = {}
-        add_products(acc, ambient.key_terms(self.coeffs), ambient.key_terms(other.coeffs),
-                     ambient.dimension)
+        add_products(acc, self.key_terms(), other.key_terms(), ambient.dimension)
         return CycleClass(ambient, ambient.settle(acc))
 
     def __pow__(self, k: int) -> "CycleClass":
@@ -545,16 +631,14 @@ class CycleClass:
         the next codimensions.
         """
         ambient = self.ambient
-        zero_mono = (0,) * len(ambient.generators)
-        unit = self.coeffs.get(zero_mono, 0)
+        unit = self.coeffs.get((0,) * len(ambient.generators), 0)
         if unit not in (1, -1):
             raise ValueError(f"degree-0 part {unit} is not a unit; cannot invert")
         dim = ambient.dimension
         pieces: dict[int, list[tuple[int, int, int]]] = {}
-        for term in ambient.key_terms(self.coeffs):
+        for term in self.key_terms():
             if term[0]:
                 pieces.setdefault(term[0], []).append(term)
-        out = {zero_mono: unit}
         inverse = [[(0, 0, unit)]]  # (codimension, key, coefficient) terms of each b_k
         for k in range(1, dim + 1):
             acc: dict[int, int] = {}
@@ -562,10 +646,10 @@ class CycleClass:
                 if j > k:
                     break
                 add_products(acc, piece, inverse[k - j], dim)
-            part = {m: -unit * c for m, c in ambient.settle(acc).items()}
-            out.update(part)  # pieces of distinct codimension never overlap
-            inverse.append(ambient.key_terms(part))
-        return CycleClass(ambient, out)
+            inverse.append([(k, key, -unit * c) for _, key, c in ambient.settle_terms(acc, k)])
+        # pieces of distinct codimension never share a key
+        return CycleClass(ambient, ambient.settle({key: c for part in inverse
+                                                    for _, key, c in part}))
 
     def dual(self) -> "CycleClass":
         """c^v: flip the sign of every odd-codimension term (ambient grading)."""

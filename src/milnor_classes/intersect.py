@@ -13,7 +13,15 @@ ambient ring:
 * virtual difference: (-1)^(n-r) c((TM)^(+(r-1)))^(-1) cap (prod V - prod S);
 * stratum expansions: the per-stratum weighted forms, either expanding
   each M(X_i) by its strata (milnor_pp_ais) or expanding everything into a
-  sum over stratum tuples with CSM-closure kernels (milnor_pp_full).
+  sum over stratum tuples with CSM-closure kernels (milnor_pp_full).  The
+  pp_full kernel prod c(L_i)^(eps_i) / c(L_1 + ... + L_r) keeps only
+  c(L_i)^(-1) for the factors off the regular stratum (eps_i = 0); the
+  tuples are summed per eps pattern, and each sum is divided once by those
+  1 + c1(L_i).
+
+c((TM)^(+(r-1)))^(-1) is the product over the Chern roots of TM with
+multiplicities times -(r-1), expanded once per ambient and r
+(`_inv_tangent_power`).
 
 FORMULAS registers them as thm41, cor11, cor12, pp_ais and pp_full.  Each
 hypersurface's Milnor class already comes from its strata, so pp_ais
@@ -25,11 +33,12 @@ agreement and renders a report.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .chow import AmbientSpace, CycleClass
-from .bundles import direct_sum, trivial_bundle
+from .bundles import chern_roots, tangent_bundle, times_chern
 from .charclass import ClassBundle3, milnor_pp
 from .strata import StratifiedHypersurface, gamma_weights
 
@@ -58,7 +67,7 @@ class IntersectionScenario:
 @lru_cache(maxsize=None)
 def _inv_tangent_power(ambient: AmbientSpace, copies: int) -> CycleClass:
     """c((TM)^(+copies))^(-1), cached per ambient (pure-function cache)."""
-    return (ambient.tangent_chern ** copies).inverse()
+    return times_chern(ambient.one(), chern_roots(tangent_bundle(ambient), -copies))
 
 
 def selector_terms(sc: IntersectionScenario) -> list[tuple[tuple[int, ...], int, CycleClass]]:
@@ -149,17 +158,14 @@ def milnor_pp_full(sc: IntersectionScenario) -> CycleClass:
     The sum over stratum tuples (S_1, ..., S_r) != (all regular parts) with
     coefficient (-1)^((n-1) sum eps) prod gamma^(1-eps) and kernel
     prod c(L_i)^(eps_i) / c(L_1 + ... + L_r) cap prod c^SM(closure S_i),
-    eps_i = 1 exactly on the regular stratum.
+    eps_i = 1 exactly on the regular stratum.  The kernel is
+    prod_(eps_i = 0) c(L_i)^(-1), one division per eps pattern.
     """
     ambient = sc.ambient
     n = ambient.dimension
     r = sc.r
-    sum_bundle = trivial_bundle(ambient, 0)
-    for hyp in sc.hyps:
-        sum_bundle = direct_sum(sum_bundle, hyp.line_bundle)
-    inv_sum = sum_bundle.chern.inverse()
 
-    per_hyp: list[list[tuple[int, int, CycleClass, CycleClass]]] = []
+    per_hyp: list[list[tuple[int, int, CycleClass]]] = []
     for idx, hyp in enumerate(sc.hyps):
         gammas = gamma_weights(hyp)
         open_name = hyp.open_stratum.name
@@ -167,28 +173,33 @@ def milnor_pp_full(sc: IntersectionScenario) -> CycleClass:
         for s in hyp.strata:
             if s.name == open_name:
                 # eps = 1: gamma never enters; closure CSM is the CSM of X_i
-                choices.append((1, 1, sc.classes[idx].csm, hyp.line_bundle.chern))
+                choices.append((1, 1, sc.classes[idx].csm))
             else:
                 g = gammas[s.name]
                 if g == 0:
                     continue
-                choices.append((0, g, s.csm_closure, ambient.one()))
+                choices.append((0, g, s.csm_closure))
         per_hyp.append(choices)
 
-    total = ambient.zero()
+    # the stratum-tuple sum of each eps pattern, before its division
+    by_pattern: dict[tuple[int, ...], CycleClass] = {}
     for combo in itertools.product(*per_hyp):
-        eps_sum = sum(eps for eps, _, _, _ in combo)
+        pattern = tuple(eps for eps, _, _ in combo)
+        eps_sum = sum(pattern)
         if eps_sum == r:
             continue
-        coeff = 1
-        kernel = inv_sum
-        for eps, g, csm_closure, l_factor in combo:
-            coeff *= 1 if eps else g
-            kernel = kernel * csm_closure * l_factor
-        sign_exp = (n - 1) * eps_sum
-        if sign_exp % 2:
+        coeff = math.prod(g for _, g, _ in combo)  # g = 1 on the regular stratum
+        if (n - 1) * eps_sum % 2:
             coeff = -coeff
-        total = total + kernel.scale(coeff)
+        product = combo[0][2]
+        for _, _, csm_closure in combo[1:]:
+            product = product * csm_closure
+        by_pattern[pattern] = by_pattern.get(pattern, ambient.zero()) + product.scale(coeff)
+    total = ambient.zero()
+    for pattern, part in by_pattern.items():
+        roots = [root for eps, hyp in zip(pattern, sc.hyps) if not eps
+                 for root in chern_roots(hyp.line_bundle, -1)]
+        total = total + times_chern(part, roots)
     prefactor_sign = -1 if (n * (r - 1)) % 2 else 1
     return (_inv_tangent_power(ambient, r - 1) * total).scale(prefactor_sign)
 

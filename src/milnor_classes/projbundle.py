@@ -16,6 +16,11 @@ module supplies the bundle-geometry layer on top:
   M(Z(s)) = p_* ( c(p*E^v (x) O(1))^(-1) zeta^(r-1) c(F)^(-1) c_top(F)
                   cap M(Z(s~)) ).
 
+  For split E with roots e_i, p*E^v (x) O(1) has the roots z - e_i and F
+  the roots e_i and z with multiplicity -1, so the kernel is one
+  `times_chern` over those roots; data without roots keeps the expanded
+  inverses.
+
 M(Z(s~)) is an input; the calculator exercises the formula through its
 exact identities, degenerations, and synthetic frozen values.
 """
@@ -25,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chow import AmbientSpace, CycleClass, ProjBundle
-from .bundles import BundleClass, top_chern, twist_chern
+from .bundles import BundleClass, chern_roots, times_chern, top_chern, twist_chern
 
 
 def make_bundle_ring(base: AmbientSpace, e: BundleClass) -> ProjBundle:
     """The Chow ring of P(E^v) as an ambient space."""
     if e.ambient != base:
         raise ValueError("bundle does not live on the given base")
-    return ProjBundle(base, e.rank, e.chern)
+    return ProjBundle(base, e.rank, e.chern, e.roots)
 
 
 def taut_sub_chern(ring: ProjBundle) -> BundleClass:
@@ -41,7 +46,7 @@ def taut_sub_chern(ring: ProjBundle) -> BundleClass:
     Construction validates that the reduced class vanishes in codimension
     >= r, which is exactly the Grothendieck relation of the ring.
     """
-    return BundleClass(ring, ring.rank - 1, ring.sub_chern)
+    return BundleClass(ring, ring.rank - 1, ring.sub_chern, ring.sub_roots)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ def lemma_transfer(f: BundleClass, cls: CycleClass) -> CycleClass:
     """Exact-sequence transfer: c(F)^(-1) c_top(F) cap (class on Z_1)."""
     if f.ambient != cls.ambient:
         raise ValueError("bundle and class live on different ambients")
-    return f.inverse_chern * top_chern(f) * cls
+    return times_chern(top_chern(f) * cls, chern_roots(f, -1))
 
 
 @dataclass(frozen=True)
@@ -97,14 +102,15 @@ def milnor_general(inp: GeneralCaseInput) -> CycleClass:
     ring = inp.ring
     zeta = ring.zeta()
     f = taut_sub_chern(ring)
-    # c(F) = p*c(E) (1+z)^(-1), so c(F)^(-1) = (1+z) p*(c(E)^(-1)): the
-    # inverse is taken in the base ring, which is smaller
-    f_inverse = (ring.one() + zeta) * ring.pullback(ring.chern.inverse())
-    kernel = (ring.relative_tangent_chern.inverse()
-              * zeta ** (ring.rank - 1)
-              * f_inverse
-              * top_chern(f))
-    return ring.pushforward(kernel * inp.milnor_of_tilde)
+    weighted = zeta ** (ring.rank - 1) * top_chern(f) * inp.milnor_of_tilde
+    if ring.roots is None:
+        # c(F) = p*c(E) (1+z)^(-1), so c(F)^(-1) = (1+z) p*(c(E)^(-1)): the
+        # expanded inverse is taken in the base ring, which is smaller
+        roots = ((zeta, 1), (ring.pullback(ring.chern ** -1) - ring.one(), 1),
+                 (ring.relative_tangent_chern - ring.one(), -1))
+    else:
+        roots = chern_roots(f, -1) + tuple((x, -m) for x, m in ring.relative_tangent_roots)
+    return ring.pushforward(times_chern(weighted, roots))
 
 
 def projection_formula_check(ring: ProjBundle, alpha: CycleClass,

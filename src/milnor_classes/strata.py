@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chow import AmbientSpace, CycleClass, ProjSpace
-from .bundles import BundleClass
+from .bundles import BundleClass, line_twist
 
 
 class StratificationError(ValueError):
@@ -49,7 +49,7 @@ def linear_closure(ambient: AmbientSpace, m: int) -> tuple[CycleClass, CycleClas
     """([S], c^SM(S)) for a linear P^m inside P^n.
 
     The CSM class is the pushforward of c(TP^m) cap [P^m], i.e.
-    h^(n-m) (1+h)^(m+1).
+    h^(n-m) (1+h)^(m+1), one line twist of [P^m] = h^(n-m).
     """
     if not isinstance(ambient, ProjSpace):
         raise ValueError("linear closures are supported on ProjSpace only")
@@ -58,8 +58,7 @@ def linear_closure(ambient: AmbientSpace, m: int) -> tuple[CycleClass, CycleClas
         raise ValueError(f"linear subspace dimension {m} out of range 0..{n - 1}")
     h = ambient.gen(0)
     cls = h ** (n - m)
-    csm = cls * (ambient.one() + h) ** (m + 1)
-    return cls, csm
+    return cls, line_twist(cls, h, n + 1)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ the negative-control ring with a flipped relation sign.
   double-loop binomial twist and the power-by-power Aluffi twist kept in
   this file, and the term-by-term Le conversion of test_lecycles.  The
   line twist also inverts itself: twisting by -ell undoes twisting by ell.
+* The Chern-root kernel `times_chern` against products with expanded
+  powers and inverses of each 1 + ell, and undone by the opposite roots.
 """
 
 import random
@@ -28,6 +30,7 @@ from milnor_classes.bundles import (
     line_bundle,
     line_twist,
     tensor_line,
+    times_chern,
     trivial_bundle,
     twist_chern,
 )
@@ -51,18 +54,20 @@ def _split(base, degrees):
 
 
 def _rings():
+    # the bundle levels carry the Chern roots of their split bundles
     p2 = ProjSpace(2)
     e = _split(p2, [1, 2, -1])
-    level1 = ProjBundle(ProjSpace(1), 2, _split(ProjSpace(1), [1, 3]).chern)
+    e1 = _split(ProjSpace(1), [1, 3])
+    level1 = ProjBundle(ProjSpace(1), 2, e1.chern, e1.roots)
     h, z = level1.gen(0), level1.zeta()
     chern2 = (level1.one() + h + z) * (level1.one() + h.scale(2) - z)
     return {
         "P4": ProjSpace(4),
         "P2xP1xP1": MultiProj((2, 1, 1)),
         "P2xP0xP1": MultiProj((2, 0, 1)),
-        "bundle": ProjBundle(p2, 3, e.chern),
-        "tower": ProjBundle(level1, 2, chern2),
-        "corrupted": CorruptedBundle(p2, 3, e.chern),
+        "bundle": ProjBundle(p2, 3, e.chern, e.roots),
+        "tower": ProjBundle(level1, 2, chern2, ((h + z, 1), (h.scale(2) - z, 1))),
+        "corrupted": CorruptedBundle(p2, 3, e.chern, e.roots),
     }
 
 
@@ -330,6 +335,79 @@ class TestSympyOracle:
         mono = (0,) * (len(ambient.generators) - 1) + (ambient.rank + 1,)
         want = oracle.normal_form(_monomial(oracle.syms, mono))
         assert oracle.sympy.expand(oracle.poly(got) - want) == 0
+
+
+# -- Chern-root kernel ------------------------------------------------------------
+
+
+def expanded_product(a, roots):
+    """a prod (1 + ell)^m, each factor expanded and inverted through CycleClass.inverse."""
+    one = a.ambient.one()
+    for ell, m in roots:
+        factor = one + ell
+        a = a * (factor ** m if m >= 0 else factor.inverse() ** -m)
+    return a
+
+
+def _random_roots(rng, ambient):
+    """Random codimension-1 roots, zero roots and negative multiplicities included.
+
+    A multiple of one generator with a multiplicity past the dimension
+    takes the binomial-series branch when the generator truncates; a
+    repeated class checks that multiplicities merge.
+    """
+    roots = [(_sample(rng, ambient).components()[1][1], rng.randint(-3, 3))
+             for _ in range(rng.randint(1, 3))]
+    j = rng.randrange(len(ambient.generators))
+    big = rng.choice([-1, 1]) * (ambient.dimension + rng.randint(0, 2))
+    roots += [(ambient.gen(j).scale(rng.choice([1, 2, -1])), big),
+              (ambient.zero(), rng.randint(-2, 2)),
+              (roots[0][0], rng.randint(-2, 2))]
+    return roots
+
+
+class TestTimesChern:
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_equals_expanded_inverse(self, name):
+        ambient = RINGS[name]
+        rng = random.Random(21)
+        for _ in range(12):
+            a = _sample(rng, ambient, unit=rng.choice([None, 1]))
+            roots = _random_roots(rng, ambient)
+            assert times_chern(a, roots) == expanded_product(a, roots)
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_opposite_roots_undo(self, name):
+        ambient = RINGS[name]
+        rng = random.Random(22)
+        for _ in range(12):
+            a = _sample(rng, ambient)
+            roots = _random_roots(rng, ambient)
+            there = times_chern(a, roots)
+            assert _within_caps(there)
+            assert times_chern(there, [(ell, -m) for ell, m in roots]) == a
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_rootless_factor_is_expanded(self, name):
+        # a factor 1 + x with x not of codimension 1 stands for c(E) of a
+        # bundle without roots
+        ambient = RINGS[name]
+        rng = random.Random(23)
+        for _ in range(6):
+            a = _sample(rng, ambient)
+            x = _sample(rng, ambient, unit=0) + _sample(rng, ambient, unit=0) ** 2
+            for m in (-2, -1, 1, 2):
+                assert times_chern(a, [(x, m)]) == expanded_product(a, [(x, m)])
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_tangent_roots_give_tangent_chern(self, name):
+        ambient = RINGS[name]
+        roots = ambient.tangent_roots
+        assert roots is not None
+        assert sum(m for _, m in roots) == ambient.dimension
+        assert any(m < 0 and not ell for ell, m in roots)  # the trivial summands
+        assert times_chern(ambient.one(), roots) == expanded_product(ambient.one(), roots)
+        assert times_chern(ambient.one(), roots) == ambient.tangent_chern
 
 
 # -- normal-form memo --------------------------------------------------------------

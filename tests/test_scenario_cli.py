@@ -272,6 +272,34 @@ class TestCli:
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("dims,multidegree", [
+        ([2], [0]), ([2], [-3]), ([1, 1], [0, 0]), ([1, 1], [-1, 2]),
+    ], ids=["zero", "negative", "zero-p1xp1", "negative-entry-p1xp1"])
+    def test_non_effective_multidegree_exit_2(self, tmp_path, dims, multidegree):
+        # O(0) and O(-3) have no hypersurface; the report used to PASS with
+        # chi -17 or a zero virtual class
+        if dims == [2]:
+            data = load_fixture("nodal_cubic_p2")
+            data["hypersurfaces"][0]["multidegree"] = multidegree
+            for key in ("expected", "oracle"):
+                data["hypersurfaces"][0].pop(key, None)
+        else:
+            data = _p1xp1_smooth_member(multidegree)
+        path = tmp_path / "bad_degree.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("compute", str(path), expect=2)
+        assert "hypersurfaces[0].multidegree: " in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_partly_zero_multidegree_accepted(self, tmp_path):
+        # bidegree (1, 0) on P^1 x P^1 is a fibre {pt} x P^1: chi 2
+        data = _p1xp1_smooth_member([1, 0])
+        data["hypersurfaces"][0]["expected"] = {"chi": 2, "milnor": "0"}
+        path = tmp_path / "fibre.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("compute", str(path), "--strict", "--no-timing")
+        assert "summary: PASS" in result.stdout
+
     def test_invalid_json_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -315,6 +343,16 @@ class TestCli:
         result = run_cli("verify", "--suite", "ring", "--seed", "42")
         assert "ring.axioms: PASS" in result.stdout
         assert "verify: PASS" in result.stdout
+
+
+def _p1xp1_smooth_member(multidegree):
+    return {
+        "ambient": {"kind": "multiproj", "dims": [1, 1]},
+        "hypersurfaces": [{
+            "name": "F", "multidegree": multidegree,
+            "strata": [{"name": "reg", "dim": 1, "milnor_fiber_chi": 1, "contained_in": []}],
+        }],
+    }
 
 
 def _set(path, value):
