@@ -163,7 +163,7 @@ def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
     n = ambient.dimension
     series = _binomial_series(ell)
     acc: dict[int, int] = {}
-    for k, part in groupby(a.key_terms(), itemgetter(0)):
+    for k, part in groupby(ambient.key_terms(a.coeffs), itemgetter(0)):
         add_products(acc, list(part), series(s - k, n - k), n)
     return CycleClass(ambient, ambient.settle(acc))
 
@@ -175,7 +175,7 @@ def _binomial_series(ell: CycleClass):
     """
     ambient = ell.ambient
     n = ambient.dimension
-    ell_terms = ell.key_terms()
+    ell_terms = ambient.key_terms(ell.coeffs)
     powers = [[(0, 0, 1)]]
 
     def series(e: int, top: int) -> list[tuple[int, int, int]]:
@@ -205,12 +205,13 @@ def times_chern(a: CycleClass, roots: Iterable[tuple[CycleClass, int]]) -> Cycle
     Factors with m > 0 go first, since a division makes a sparse class
     dense, and a factor that cannot reach past a's top codimension is
     skipped.  A root ell of codimension 1 enters one (1 + ell) at a time: a
-    product with 1 + ell for m > 0, and for m < 0 the graded recurrence
-    b_k = a_k - ell b_(k-1), which solves b (1 + ell) = a (`_divide`).
-    When ell is a multiple c g of one truncate generator, (1 + ell)^m has at
-    most cap + 1 terms; its binomial series, the one `line_twist` uses, is
-    multiplied in at once where that takes fewer coefficient products.  A
-    factor x that is not of codimension 1 (c(E) - 1 of a bundle without
+    product with 1 + ell for m > 0, and for m < 0 the graded recurrence of
+    `_divide`.  When ell is a multiple c g of one truncate generator,
+    (1 + ell)^m has at most min(top, cap) + 1 terms below a's top, and its
+    binomial series, the one `line_twist` uses, is multiplied in at once:
+    always for m > 0, and for m < 0 once the recurrence would take more
+    passes than the series has terms (the tangent powers c(TP^n)^(-k)).
+    A factor x that is not of codimension 1 (c(E) - 1 of a bundle without
     roots) is expanded: a (1 + x)^m, through the inverse of 1 + x when
     m < 0.
     """
@@ -223,13 +224,12 @@ def times_chern(a: CycleClass, roots: Iterable[tuple[CycleClass, int]]) -> Cycle
         if not _is_root(ell):
             a = a * (one + ell) ** m
             continue
-        terms = a.key_terms()
+        terms = ambient.key_terms(a.coeffs)
         top = dim - terms[0][0]  # (1 + ell)^m matters up to this codimension
         if not top:
             continue
         cap = _truncate_cap(ell)
-        # coefficient products per term of a: series against one at a time
-        if cap is not None and min(top, cap) + 1 <= abs(m) * (1 + (m > 0)):
+        if cap is not None and (m > 0 or -m > min(top, cap)):
             acc: dict[int, int] = {}
             add_products(acc, terms, _binomial_series(ell)(m, top), dim)
             a = CycleClass(ambient, ambient.settle(acc))
@@ -251,50 +251,16 @@ def _truncate_cap(ell: CycleClass) -> int | None:
 
 
 def _divide(a: CycleClass, ell: CycleClass, times: int) -> CycleClass:
-    """a (1 + ell)^(-times) for ell of codimension 1: b_k = a_k - ell b_(k-1), times times.
+    """a (1 + ell)^(-times) for ell of codimension 1.
 
-    When ell has only truncate generators, a product with ell never leaves
-    normal form except to vanish, so the recurrence runs on keys:
-    b[key] = a[key] - sum_g c_g b[key - place(g)] over the terms c_g g of
-    ell with a nonzero g-exponent in key, in ascending key order.  With a
-    rewrite generator in ell, each b_k is one `add_products` and one
-    `settle_terms`.
+    Each pass solves b (1 + ell) = a by the graded recurrence
+    b_k = a_k - ell b_(k-1): one `add_products` and one `settle_terms` per
+    codimension, which holds for every generator kind.
     """
     ambient = a.ambient
-    gens = ambient.generators
-    shifts = []  # (place, base, cap, -c) of each term c g of ell
-    for mono, c in ell.coeffs.items():
-        j = mono.index(1)
-        if gens[j].rewrite:
-            return _divide_by_codimension(a, ell, times)
-        shifts.append((ambient._places[j], ambient._bases[j], gens[j].cap, -c))
-    b = {key: c for _, key, c in a.key_terms()}
-    for _ in range(times):
-        support = set(b)  # keys that b (1 + ell)^(-1) can reach
-        frontier = list(b)
-        while frontier:
-            key = frontier.pop()
-            for place, base, cap, _ in shifts:
-                if key // place % base < cap and key + place not in support:
-                    support.add(key + place)
-                    frontier.append(key + place)
-        out: dict[int, int] = {}
-        for key in sorted(support):
-            v = b.get(key, 0)
-            for place, base, _, c in shifts:
-                if key // place % base:
-                    v += c * out.get(key - place, 0)
-            out[key] = v
-        b = out
-    return CycleClass(ambient, ambient.settle(b))
-
-
-def _divide_by_codimension(a: CycleClass, ell: CycleClass, times: int) -> CycleClass:
-    """`_divide` for ell with a rewrite generator: products with ell are settled."""
-    ambient = a.ambient
     dim = ambient.dimension
-    minus_ell = [(d, key, -c) for d, key, c in ell.key_terms()]
-    terms = a.key_terms()
+    minus_ell = [(d, key, -c) for d, key, c in ambient.key_terms(ell.coeffs)]
+    terms = ambient.key_terms(a.coeffs)
     for _ in range(times):
         pieces = {k: list(part) for k, part in groupby(terms, itemgetter(0))}
         terms, prev = [], []

@@ -27,10 +27,9 @@ coefficients over integer keys, skipping pairs past the top codimension,
 and `AmbientSpace.settle` takes each distinct key of the sum once: it
 keeps an in-cap monomial, drops one with a truncate generator above its
 cap and reduces one with only rewrite generators above their caps.  Each
-ring keeps the normal form of every key it has settled, and each class
-its key terms once encoded.  The graded recurrences (inverse, division by
-1 + ell, powers of ell) settle one codimension at a time with
-`settle_terms`, which stays in key space.
+ring keeps the normal form of every key it has settled.  The graded
+recurrences (inverse, division by 1 + ell, powers of ell) settle one
+codimension at a time with `settle_terms`, which stays in key space.
 
 The tangent class of every ambient comes from its Chern roots (see
 `bundles`): TP^n = O(1)^(n+1) - O, a product of projective spaces takes
@@ -119,6 +118,13 @@ class AmbientSpace:
         return {}
 
     # -- product kernel -----------------------------------------------------
+
+    def key_terms(self, coeffs: Mapping[tuple[int, ...], int]) -> list[tuple[int, int, int]]:
+        """(codimension, key, coefficient) of every normal-form monomial, by codimension."""
+        places = self._places
+        terms = [(sum(m), sum(map(mul, m, places)), c) for m, c in coeffs.items()]
+        terms.sort()
+        return terms
 
     def settle(self, acc: Mapping[int, int]) -> dict[tuple[int, ...], int]:
         """Normal form of a sum of product keys, each decoded once per ring.
@@ -522,13 +528,12 @@ class CycleClass:
     codimension (total exponent).
     """
 
-    __slots__ = ("ambient", "coeffs", "_hash", "_terms")
+    __slots__ = ("ambient", "coeffs", "_hash")
 
     def __init__(self, ambient: AmbientSpace, coeffs: dict[tuple[int, ...], int]):
         self.ambient = ambient
         self.coeffs = coeffs
         self._hash: int | None = None
-        self._terms: list[tuple[int, int, int]] | None = None
 
     # -- basic protocol ------------------------------------------------------
 
@@ -545,18 +550,6 @@ class CycleClass:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def key_terms(self) -> list[tuple[int, int, int]]:
-        """(codimension, key, coefficient) of every term, by codimension.
-
-        Encoded once and kept on the class; callers must not change the list.
-        """
-        if self._terms is None:
-            places = self.ambient._places
-            terms = [(sum(m), sum(map(mul, m, places)), c) for m, c in self.coeffs.items()]
-            terms.sort()
-            self._terms = terms
-        return self._terms
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -604,7 +597,8 @@ class CycleClass:
         self._check_same(other)
         ambient = self.ambient
         acc: dict[int, int] = {}
-        add_products(acc, self.key_terms(), other.key_terms(), ambient.dimension)
+        add_products(acc, ambient.key_terms(self.coeffs), ambient.key_terms(other.coeffs),
+                     ambient.dimension)
         return CycleClass(ambient, ambient.settle(acc))
 
     def __pow__(self, k: int) -> "CycleClass":
@@ -636,7 +630,7 @@ class CycleClass:
             raise ValueError(f"degree-0 part {unit} is not a unit; cannot invert")
         dim = ambient.dimension
         pieces: dict[int, list[tuple[int, int, int]]] = {}
-        for term in self.key_terms():
+        for term in ambient.key_terms(self.coeffs):
             if term[0]:
                 pieces.setdefault(term[0], []).append(term)
         inverse = [[(0, 0, unit)]]  # (codimension, key, coefficient) terms of each b_k

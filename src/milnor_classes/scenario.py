@@ -198,12 +198,13 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
     multideg = _int_tuple(_require(hdata, "multidegree", fieldpath),
                           f"{fieldpath}.multidegree")
     lb = _checked(f"{fieldpath}.multidegree", line_bundle, ambient, multideg)
-    if min(multideg) < 0 or not any(multideg):
+    if min(multideg) < 0 or not lb.c1():
         # a hypersurface is an effective nonzero divisor; line_bundle itself
-        # stays permissive, since twists use negative degrees
+        # stays permissive, since twists use negative degrees.  An entry on a
+        # P^0 factor does not count: its hyperplane class is 0.
         raise ScenarioError(f"{fieldpath}.multidegree",
                             f"{list(multideg)} is not the class of a hypersurface: entries "
-                            "must be >= 0 and not all 0")
+                            "must be >= 0 and the class nonzero")
 
     hyp = None
     if "strata" in hdata:

@@ -388,6 +388,19 @@ class TestTimesChern:
             assert times_chern(there, [(ell, -m) for ell, m in roots]) == a
 
     @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_one_generator_every_multiplicity(self, name):
+        # 2 g to every power from -(cap + 2) to cap + 2: for a truncate
+        # generator g, a division switches from the recurrence to the
+        # binomial series once -m passes the cap
+        ambient = RINGS[name]
+        rng = random.Random(24)
+        a = _sample(rng, ambient)
+        for j, gen in enumerate(ambient.generators):
+            ell = ambient.gen(j).scale(2)
+            for m in range(-gen.cap - 2, gen.cap + 3):
+                assert times_chern(a, [(ell, m)]) == expanded_product(a, [(ell, m)])
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
     def test_rootless_factor_is_expanded(self, name):
         # a factor 1 + x with x not of codimension 1 stands for c(E) of a
         # bundle without roots

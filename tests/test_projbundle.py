@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from milnor_classes.chow import ProjSpace
+from milnor_classes.chow import MultiProj, ProjSpace
 from milnor_classes.bundles import BundleClass, direct_sum, line_bundle, top_chern, trivial_bundle
 from milnor_classes.charclass import virtual_class
 from milnor_classes.projbundle import (
@@ -26,12 +26,16 @@ P2 = ProjSpace(2)
 TWIST_GRID = [(0, 0), (1, 2), (-1, 3), (2, 2), (0, 5), (-2, -1), (1, 1)]
 
 
-def split_ring(base, degrees, corrupt=False):
+def split_bundle(base, degrees):
     e = trivial_bundle(base, 0)
     for d in degrees:
         e = direct_sum(e, line_bundle(base, d))
+    return e
+
+
+def split_ring(base, degrees, corrupt=False):
     maker = corrupted_bundle_ring if corrupt else make_bundle_ring
-    return maker(base, e)
+    return maker(base, split_bundle(base, degrees))
 
 
 class TestTautSub:
@@ -201,6 +205,76 @@ class TestMilnorGeneral:
         ring = split_ring(P1, [1, 1])
         with pytest.raises(ValueError, match="bundle ring"):
             GeneralCaseInput(ring, P1.one())
+
+
+def rootless(e):
+    """E with the same rank and Chern class but no Chern roots."""
+    return BundleClass(e.ambient, e.rank, e.chern)
+
+
+def expanded_general(ring, mtilde):
+    """The reduction formula with every c(.)^(-1) an expanded inverse."""
+    f = taut_sub_chern(ring)
+    kernel = (ring.relative_tangent_chern.inverse() * ring.zeta() ** (ring.rank - 1)
+              * ring.sub_chern.inverse() * top_chern(f))
+    return ring.pushforward(kernel * mtilde)
+
+
+P3 = ProjSpace(3)
+P4 = ProjSpace(4)
+P2XP1 = MultiProj((2, 1))
+# bases of dimension above the rank, so that c_top(E) is not a point class
+SPLIT_CASES = [
+    (P1, [1, 1]), (P2, [1, 1]), (P2, [2, -1]), (P3, [1, 1]), (P3, [2, -1]),
+    (P4, [1, 2]), (P4, [1, 2, 3]), (P2XP1, [(1, 0), (1, 1)]),
+    (P2XP1, [(1, 2), (0, 0), (-1, 1)]),
+]
+SPLIT_IDS = [f"{base!r}-{degrees}".replace(" ", "") for base, degrees in SPLIT_CASES]
+
+
+class TestRootless:
+    """Bundles without Chern roots take the expanded branch of each kernel."""
+
+    @staticmethod
+    def _inputs(ring):
+        z, h = ring.zeta(), ring.pullback(ring.base.gen(0))
+        dense = (ring.one() + z + h) ** ring.dimension
+        return [ring.zeta(), h * z + z ** 2, dense, ring.pullback(ring.base.one())]
+
+    @pytest.mark.parametrize("base,degrees", SPLIT_CASES, ids=SPLIT_IDS)
+    def test_milnor_general_matches_split(self, base, degrees):
+        e = split_bundle(base, degrees)
+        split = make_bundle_ring(base, e)
+        plain = make_bundle_ring(base, rootless(e))
+        assert split.roots is not None and plain.roots is None
+        for mtilde in self._inputs(split):
+            via_roots = milnor_general(GeneralCaseInput(split, mtilde))
+            moved = plain.from_coeffs(mtilde.coeffs)
+            assert milnor_general(GeneralCaseInput(plain, moved)) == via_roots
+            assert via_roots == expanded_general(split, mtilde)
+
+    def test_goldens_without_roots(self):
+        ring = make_bundle_ring(P2, rootless(split_bundle(P2, [1, 1])))
+        assert milnor_general(GeneralCaseInput(ring, ring.zeta())) == P2.gen(0) ** 2
+        ring = make_bundle_ring(P1, rootless(split_bundle(P1, [1, 1])))
+        mtilde = ring.pullback(P1.gen(0)) * ring.zeta()
+        assert milnor_general(GeneralCaseInput(ring, mtilde)).is_zero()
+
+    @pytest.mark.parametrize("base,degrees", SPLIT_CASES, ids=SPLIT_IDS)
+    def test_lemma_transfer_matches_split(self, base, degrees):
+        f = split_bundle(base, degrees)
+        cls = (base.one() + base.gen(0)) ** base.dimension
+        expected = f.chern.inverse() * top_chern(f) * cls
+        assert lemma_transfer(rootless(f), cls) == expected
+        assert lemma_transfer(f, cls) == expected
+
+    @pytest.mark.parametrize("base,degrees", SPLIT_CASES, ids=SPLIT_IDS)
+    def test_virtual_class_matches_split(self, base, degrees):
+        e = split_bundle(base, degrees)
+        x = top_chern(e)
+        expected = base.tangent_chern * e.chern.inverse() * x
+        assert virtual_class(base, rootless(e), x) == expected
+        assert virtual_class(base, e, x) == expected
 
 
 class TestO1:

@@ -19,6 +19,7 @@ from milnor_classes.scenario import (
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+P1XP1 = {"kind": "multiproj", "dims": [1, 1]}
 
 
 def run_cli(*argv, expect=0):
@@ -272,19 +273,22 @@ class TestCli:
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("dims,multidegree", [
-        ([2], [0]), ([2], [-3]), ([1, 1], [0, 0]), ([1, 1], [-1, 2]),
-    ], ids=["zero", "negative", "zero-p1xp1", "negative-entry-p1xp1"])
-    def test_non_effective_multidegree_exit_2(self, tmp_path, dims, multidegree):
+    @pytest.mark.parametrize("ambient,multidegree", [
+        (None, [0]), (None, [-3]), (P1XP1, [0, 0]), (P1XP1, [-1, 2]),
+        ({"kind": "proj", "n": 0}, [3]), ({"kind": "multiproj", "dims": [1, 0]}, [0, 2]),
+    ], ids=["zero", "negative", "zero-p1xp1", "negative-entry-p1xp1", "zero-class-p0",
+            "zero-class-p1xp0"])
+    def test_non_effective_multidegree_exit_2(self, tmp_path, ambient, multidegree):
         # O(0) and O(-3) have no hypersurface; the report used to PASS with
-        # chi -17 or a zero virtual class
-        if dims == [2]:
+        # chi -17 or a zero virtual class.  On P^0 and on a P^0 factor a
+        # nonzero entry can still give c1 = 0.
+        if ambient is None:
             data = load_fixture("nodal_cubic_p2")
             data["hypersurfaces"][0]["multidegree"] = multidegree
             for key in ("expected", "oracle"):
                 data["hypersurfaces"][0].pop(key, None)
         else:
-            data = _p1xp1_smooth_member(multidegree)
+            data = _smooth_member(ambient, multidegree)
         path = tmp_path / "bad_degree.json"
         path.write_text(json.dumps(data))
         result = run_cli("compute", str(path), expect=2)
@@ -293,7 +297,7 @@ class TestCli:
 
     def test_partly_zero_multidegree_accepted(self, tmp_path):
         # bidegree (1, 0) on P^1 x P^1 is a fibre {pt} x P^1: chi 2
-        data = _p1xp1_smooth_member([1, 0])
+        data = _smooth_member(P1XP1, [1, 0])
         data["hypersurfaces"][0]["expected"] = {"chi": 2, "milnor": "0"}
         path = tmp_path / "fibre.json"
         path.write_text(json.dumps(data))
@@ -345,9 +349,9 @@ class TestCli:
         assert "verify: PASS" in result.stdout
 
 
-def _p1xp1_smooth_member(multidegree):
+def _smooth_member(ambient, multidegree):
     return {
-        "ambient": {"kind": "multiproj", "dims": [1, 1]},
+        "ambient": ambient,
         "hypersurfaces": [{
             "name": "F", "multidegree": multidegree,
             "strata": [{"name": "reg", "dim": 1, "milnor_fiber_chi": 1, "contained_in": []}],
