@@ -12,14 +12,17 @@ c(TP^1000), three rounds of about a second each.  The Chern-root kernel
 `times_chern` is timed through its two largest callers, the virtual class
 of a hypersurface and c(TM)^(-1) (`_inv_tangent_power`), on P^1000 and on
 P^15 x P^15 x P^15, each on a fresh ambient per round and checked against
-the product with the expanded inverse.  The
+the product with the expanded inverse.  A division by c(F) of the
+tautological sub-bundle of the tower, whose bundles have no Chern roots,
+times the expanded c(F) - 1 through the same recurrence.  The
 other callers of the line-twist kernel, `twist_chern` (the cotangent
 twist of the mu-class) and `milnor_to_le`, are timed on P^200.  The
 normal-form cases reduce on a fresh ring per round, so each round pays
 for every rewrite: `from_coeffs` of every monomial of top degree on the
 tower, and `parse_class` of z^999 on P(O(1)+O(1)) over P^1000.  Each
 case checks its result once outside the timed calls.  The default
-`pytest` run collects only `tests/`, so these run only when named.
+`pytest` run collects only `tests/` and `perfbench/tests/`, so these run
+only when named.
 """
 
 from itertools import product
@@ -29,8 +32,10 @@ import pytest
 
 from milnor_classes.bundles import (
     BundleClass,
+    chern_roots,
     direct_sum,
     line_bundle,
+    times_chern,
     trivial_bundle,
     twist_chern,
 )
@@ -38,6 +43,7 @@ from milnor_classes.charclass import aluffi_tensor, virtual_class
 from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
 from milnor_classes.intersect import _inv_tangent_power
 from milnor_classes.lecycles import le_to_milnor, milnor_to_le
+from milnor_classes.projbundle import taut_sub_chern
 
 
 def _tower() -> ProjBundle:
@@ -126,6 +132,14 @@ def test_inv_tangent_large(benchmark, name):
     inv = benchmark.pedantic(_inv_tangent_power.__wrapped__,
                              setup=lambda: ((_ambient(dims), 1), {}), rounds=3)
     assert inv.coeffs == _ambient(dims).tangent_chern.inverse().coeffs
+
+
+def test_times_chern_rootless(benchmark):
+    ring = _tower()
+    tangent, f = ring.tangent_chern, taut_sub_chern(ring)
+    assert f.roots is None
+    divided = benchmark(times_chern, tangent, chern_roots(f, -1))
+    assert divided == tangent * f.chern.inverse()
 
 
 def test_aluffi_tensor(benchmark, case):

@@ -13,7 +13,8 @@ summands: TP^n = O(1)^(n+1) - O has the roots {h: n+1, 0: -1}.  Line,
 trivial and tangent bundles get roots, and direct sums, duals and twists
 keep them.  Every product with c(E)^(+-1) or a power of it goes through
 one kernel, `times_chern`, which multiplies or divides by one (1 + ell) at
-a time; data without roots keeps the expanded class.
+a time; a bundle without roots enters as the one factor 1 + (c(E) - 1),
+through the same product and the same division, `chow.divide`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .chow import (
     MultiProj,
     ProjSpace,
     add_products,
+    divide,
 )
 
 # Chern roots: (ell, m) pairs standing for the factor (1 + ell)^m
@@ -142,7 +144,7 @@ def chern_roots(e: BundleClass, s: int = 1) -> Roots:
     """The factors of c(E)^s for `times_chern`.
 
     E's roots with every multiplicity times s; a bundle without roots gives
-    the one factor (c(E) - 1, s), which `times_chern` keeps expanded.
+    the one factor (c(E) - 1, s), which `times_chern` takes expanded.
     """
     if e.roots is None:
         return ((e.chern - e.ambient.one(), s),)
@@ -199,78 +201,56 @@ def _binomial_series(ell: CycleClass):
 
 
 def times_chern(a: CycleClass, roots: Iterable[tuple[CycleClass, int]]) -> CycleClass:
-    """a prod (1 + ell)^m over the (ell, m) pairs of roots.
+    """a prod (1 + x)^m over the (x, m) pairs of roots.
 
     The product of a with c(E)^s is times_chern(a, chern_roots(E, s)).
     Factors with m > 0 go first, since a division makes a sparse class
     dense, and a factor that cannot reach past a's top codimension is
-    skipped.  A root ell of codimension 1 enters one (1 + ell) at a time: a
-    product with 1 + ell for m > 0, and for m < 0 the graded recurrence of
-    `_divide`.  When ell is a multiple c g of one truncate generator,
-    (1 + ell)^m has at most min(top, cap) + 1 terms below a's top, and its
-    binomial series, the one `line_twist` uses, is multiplied in at once:
-    always for m > 0, and for m < 0 once the recurrence would take more
-    passes than the series has terms (the tangent powers c(TP^n)^(-k)).
-    A factor x that is not of codimension 1 (c(E) - 1 of a bundle without
-    roots) is expanded: a (1 + x)^m, through the inverse of 1 + x when
-    m < 0.
+    skipped.  x is a Chern root of codimension 1, or c(E) - 1 of a bundle
+    without roots; either enters one (1 + x) at a time: a product with
+    1 + x for m > 0, and for m < 0 the graded recurrence `chow.divide`.
+    When x is a multiple c g of one truncate generator, (1 + x)^m has at
+    most min(top, cap) + 1 terms below a's top, and its binomial series,
+    the one `line_twist` uses, is multiplied in at once: always for m > 0,
+    and for m < 0 once the recurrence would take more passes than the
+    series has terms (the tangent powers c(TP^n)^(-k)).
     """
     ambient = a.ambient
     dim = ambient.dimension
     one = ambient.one()
-    for ell, m in sorted(_merge_roots(roots), key=lambda root: root[1] < 0):
-        if not ell or not a:
-            continue
-        if not _is_root(ell):
-            a = a * (one + ell) ** m
+    for x, m in sorted(_merge_roots(roots), key=lambda root: root[1] < 0):
+        if not x or not a:
             continue
         terms = ambient.key_terms(a.coeffs)
-        top = dim - terms[0][0]  # (1 + ell)^m matters up to this codimension
+        top = dim - terms[0][0]  # (1 + x)^m matters up to this codimension
         if not top:
             continue
-        cap = _truncate_cap(ell)
+        cap = _truncate_cap(x)
         if cap is not None and (m > 0 or -m > min(top, cap)):
             acc: dict[int, int] = {}
-            add_products(acc, terms, _binomial_series(ell)(m, top), dim)
+            add_products(acc, terms, _binomial_series(x)(m, top), dim)
             a = CycleClass(ambient, ambient.settle(acc))
         elif m > 0:
             for _ in range(m):
-                a = a * (one + ell)
+                a = a * (one + x)
         else:
-            a = _divide(a, ell, -m)
+            a = divide(a, x, -m)
     return a
 
 
 def _truncate_cap(ell: CycleClass) -> int | None:
-    """The cap of the truncate generator g when ell = c g, else None."""
+    """The cap of the truncate generator g when ell = c g, else None.
+
+    Only then is (1 + ell)^m the binomial series in one codimension-1
+    class; a monomial such as h^2 or h1 h2 is not.
+    """
     if len(ell.coeffs) != 1:
         return None
     (mono,) = ell.coeffs
+    if sum(mono) != 1:
+        return None
     gen = ell.ambient.generators[mono.index(1)]
     return None if gen.rewrite else gen.cap
-
-
-def _divide(a: CycleClass, ell: CycleClass, times: int) -> CycleClass:
-    """a (1 + ell)^(-times) for ell of codimension 1.
-
-    Each pass solves b (1 + ell) = a by the graded recurrence
-    b_k = a_k - ell b_(k-1): one `add_products` and one `settle_terms` per
-    codimension, which holds for every generator kind.
-    """
-    ambient = a.ambient
-    dim = ambient.dimension
-    minus_ell = [(d, key, -c) for d, key, c in ambient.key_terms(ell.coeffs)]
-    terms = ambient.key_terms(a.coeffs)
-    for _ in range(times):
-        pieces = {k: list(part) for k, part in groupby(terms, itemgetter(0))}
-        terms, prev = [], []
-        for k in range(min(pieces), dim + 1):
-            acc = {key: c for _, key, c in pieces.get(k, ())}
-            add_products(acc, prev, minus_ell, dim)  # b_k = a_k - ell b_(k-1)
-            prev = ambient.settle_terms(acc, k)
-            terms += prev
-    # pieces of distinct codimension never share a key
-    return CycleClass(ambient, ambient.settle({key: c for _, key, c in terms}))
 
 
 def twist_chern(chern: CycleClass, rank: int, ell: CycleClass) -> CycleClass:

@@ -27,9 +27,10 @@ coefficients over integer keys, skipping pairs past the top codimension,
 and `AmbientSpace.settle` takes each distinct key of the sum once: it
 keeps an in-cap monomial, drops one with a truncate generator above its
 cap and reduces one with only rewrite generators above their caps.  Each
-ring keeps the normal form of every key it has settled.  The graded
-recurrences (inverse, division by 1 + ell, powers of ell) settle one
-codimension at a time with `settle_terms`, which stays in key space.
+ring keeps the normal form of every key it has settled, once.  `divide`
+is the one graded division, for the inverse and for every division of
+`times_chern`; it and the powers of ell settle one codimension at a time
+with `settle_terms`, which stays in key space.
 
 The tangent class of every ambient comes from its Chern roots (see
 `bundles`): TP^n = O(1)^(n+1) - O, a product of projective spaces takes
@@ -45,7 +46,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, le, mul
+from itertools import groupby
+from operator import add, itemgetter, le, mul
 from typing import Mapping
 
 
@@ -108,13 +110,8 @@ class AmbientSpace:
         return tuple(places)
 
     @cached_property
-    def _key_forms(self) -> dict[int, dict[tuple[int, ...], int]]:
-        """Normal form of the monomial of every key settled so far in this ring."""
-        return {}
-
-    @cached_property
-    def _keyed_forms(self) -> dict[int, list[tuple[int, int]]]:
-        """The same normal forms as (key, coefficient) pairs, for `settle_terms`."""
+    def _key_forms(self) -> dict[int, list[tuple[tuple[int, ...], int, int]]]:
+        """(monomial, key, coefficient) terms of the normal form of every settled key."""
         return {}
 
     # -- product kernel -----------------------------------------------------
@@ -144,7 +141,7 @@ class AmbientSpace:
             form = forms.get(key)
             if form is None:
                 form = self._key_form(key)
-            for m, v in form.items():
+            for m, _, v in form:
                 out[m] = get(m, 0) + c * v
         return {m: c for m, c in out.items() if c}
 
@@ -156,7 +153,7 @@ class AmbientSpace:
         `add_products` without decoding, and `settle` of their keys gives
         the monomials at the end.
         """
-        forms = self._keyed_forms
+        forms = self._key_forms
         out: dict[int, int] = {}
         get = out.get
         for key, c in acc.items():
@@ -164,22 +161,22 @@ class AmbientSpace:
                 continue
             form = forms.get(key)
             if form is None:
-                places = self._places
-                form = forms[key] = [(sum(map(mul, m, places)), v)
-                                     for m, v in self._key_form(key).items()]
-            for k, v in form:
+                form = self._key_form(key)
+            for _, k, v in form:
                 out[k] = get(k, 0) + c * v
         return [(codim, k, c) for k, c in out.items() if c]
 
-    def _key_form(self, key: int) -> dict[tuple[int, ...], int]:
+    def _key_form(self, key: int) -> list[tuple[tuple[int, ...], int, int]]:
         """Decode a key into its monomial and keep its normal form in `_key_forms`."""
         exps = []
         rest = key
         for base in self._bases:
             rest, e = divmod(rest, base)
             exps.append(e)
-        form = self._key_forms[key] = {}
-        self._reduce_term(tuple(exps), 1, form)
+        nf: dict[tuple[int, ...], int] = {}
+        self._reduce_term(tuple(exps), 1, nf)
+        places = self._places
+        form = self._key_forms[key] = [(m, sum(map(mul, m, places)), v) for m, v in nf.items()]
         return form
 
     # -- class constructors -------------------------------------------------
@@ -519,6 +516,38 @@ def add_products(acc: dict[int, int], left: list[tuple[int, int, int]],
             acc[k] = get(k, 0) + c1 * c2
 
 
+def divide(a: CycleClass, x: CycleClass, times: int) -> CycleClass:
+    """a (1 + x)^(-times), for x without a degree-0 part: the one graded division.
+
+    Each pass solves b (1 + x) = a by b_k = a_k - x_1 b_(k-1) - ... - x_k b_0
+    over the codimension-j pieces x_j of x.  Every relation is homogeneous,
+    so b_k is the codimension-k piece of b: one `settle_terms` of its summed
+    key products, kept as key terms for the next codimensions.
+    """
+    ambient = a.ambient
+    dim = ambient.dimension
+    minus_x: dict[int, list[tuple[int, int, int]]] = {}
+    for d, key, c in ambient.key_terms(x.coeffs):
+        minus_x.setdefault(d, []).append((d, key, -c))
+    terms = ambient.key_terms(a.coeffs)
+    if not terms:
+        return a
+    for _ in range(times):
+        pieces = {k: list(part) for k, part in groupby(terms, itemgetter(0))}
+        start = terms[0][0]
+        solved: list[list[tuple[int, int, int]]] = []  # b_start, b_(start+1), ...
+        for k in range(start, dim + 1):
+            acc = {key: c for _, key, c in pieces.get(k, ())}
+            for j, piece in minus_x.items():  # ascending codimension
+                if j > k - start:
+                    break
+                add_products(acc, solved[k - start - j], piece, dim)
+            solved.append(ambient.settle_terms(acc, k))
+        terms = [term for part in solved for term in part]
+    # pieces of distinct codimension never share a key
+    return CycleClass(ambient, ambient.settle({key: c for _, key, c in terms}))
+
+
 class CycleClass:
     """Element of the truncated Chow ring of an ambient space.
 
@@ -617,33 +646,16 @@ class CycleClass:
     def inverse(self) -> "CycleClass":
         """Multiplicative inverse, defined when the degree-0 part is +-1.
 
-        Graded recursion on the homogeneous pieces a_j: with u = a_0,
-        b_0 = u and b_k = -u (a_1 b_(k-1) + ... + a_k b_0).  Every supported
-        ring is graded (the z-relation is homogeneous), so b_k is the
-        codimension-k piece of the inverse; exact over the integers.  Each
-        b_k is one settle of its summed key products, kept as key terms for
-        the next codimensions.
+        With u = a_0 = u^(-1), a = u (1 + u (a - u)), so the inverse is
+        u (1 + u (a - u))^(-1), one `divide`; exact over the integers.
         """
         ambient = self.ambient
-        unit = self.coeffs.get((0,) * len(ambient.generators), 0)
+        origin = (0,) * len(ambient.generators)
+        unit = self.coeffs.get(origin, 0)
         if unit not in (1, -1):
             raise ValueError(f"degree-0 part {unit} is not a unit; cannot invert")
-        dim = ambient.dimension
-        pieces: dict[int, list[tuple[int, int, int]]] = {}
-        for term in ambient.key_terms(self.coeffs):
-            if term[0]:
-                pieces.setdefault(term[0], []).append(term)
-        inverse = [[(0, 0, unit)]]  # (codimension, key, coefficient) terms of each b_k
-        for k in range(1, dim + 1):
-            acc: dict[int, int] = {}
-            for j, piece in pieces.items():  # ascending codimension
-                if j > k:
-                    break
-                add_products(acc, piece, inverse[k - j], dim)
-            inverse.append([(k, key, -unit * c) for _, key, c in ambient.settle_terms(acc, k)])
-        # pieces of distinct codimension never share a key
-        return CycleClass(ambient, ambient.settle({key: c for part in inverse
-                                                    for _, key, c in part}))
+        rest = {m: unit * c for m, c in self.coeffs.items() if m != origin}
+        return divide(ambient.from_int(unit), CycleClass(ambient, rest), 1)
 
     def dual(self) -> "CycleClass":
         """c^v: flip the sign of every odd-codimension term (ambient grading)."""

@@ -18,8 +18,8 @@ module supplies the bundle-geometry layer on top:
 
   For split E with roots e_i, p*E^v (x) O(1) has the roots z - e_i and F
   the roots e_i and z with multiplicity -1, so the kernel is one
-  `times_chern` over those roots; data without roots keeps the expanded
-  inverses.
+  `times_chern` over those roots; without roots each of the two bundles
+  is one expanded factor c - 1, divided out by the same recurrence.
 
 M(Z(s~)) is an input; the calculator exercises the formula through its
 exact identities, degenerations, and synthetic frozen values.
@@ -100,16 +100,12 @@ class GeneralCaseInput:
 def milnor_general(inp: GeneralCaseInput) -> CycleClass:
     """Push the kernel-weighted Milnor class of Z(s~) down to the base."""
     ring = inp.ring
-    zeta = ring.zeta()
     f = taut_sub_chern(ring)
-    weighted = zeta ** (ring.rank - 1) * top_chern(f) * inp.milnor_of_tilde
-    if ring.roots is None:
-        # c(F) = p*c(E) (1+z)^(-1), so c(F)^(-1) = (1+z) p*(c(E)^(-1)): the
-        # expanded inverse is taken in the base ring, which is smaller
-        roots = ((zeta, 1), (ring.pullback(ring.chern ** -1) - ring.one(), 1),
-                 (ring.relative_tangent_chern - ring.one(), -1))
-    else:
-        roots = chern_roots(f, -1) + tuple((x, -m) for x, m in ring.relative_tangent_roots)
+    weighted = ring.zeta() ** (ring.rank - 1) * top_chern(f) * inp.milnor_of_tilde
+    tangent = ring.relative_tangent_roots
+    if tangent is None:
+        tangent = ((ring.relative_tangent_chern - ring.one(), 1),)
+    roots = chern_roots(f, -1) + tuple((x, -m) for x, m in tangent)
     return ring.pushforward(times_chern(weighted, roots))
 
 

@@ -276,6 +276,8 @@ def _parse_intersection(ambient: AmbientSpace, block: Any,
         if _typed(ref, str, f"intersection.hypersurfaces[{j}]") not in known:
             raise ScenarioError(f"intersection.hypersurfaces[{j}]",
                                 f"unknown hypersurface {ref!r}")
+        if ref in names[:j]:  # X cap X is not a transversal intersection
+            raise ScenarioError(f"intersection.hypersurfaces[{j}]", f"{ref!r} is named twice")
     if len(names) < 2:
         raise ScenarioError("intersection.hypersurfaces",
                             f"an intersection needs r >= 2 hypersurfaces, got {len(names)}")
@@ -354,7 +356,7 @@ def load_scenario_file(path: str | Path) -> Scenario:
     p = Path(path)
     try:
         data = json.loads(p.read_text())
-    except ValueError as exc:  # also text that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deeply
         raise ScenarioError(str(p), f"invalid JSON: {exc}") from exc
     return parse_scenario(data, name=p.stem)
 

@@ -166,13 +166,12 @@ def gamma_weights(hyp: StratifiedHypersurface) -> dict[str, int]:
     return gammas
 
 
-def open_chi(hyp_or_strata) -> dict[str, int]:
+def open_chi(strata: tuple[Stratum, ...]) -> dict[str, int]:
     """Euler characteristics of the open strata, from those of the closures.
 
     chi(S) = chi(closure S) - sum of chi(S') over strata S' in the boundary
     of S; every stratum must carry csm_closure data (its degree is chi).
     """
-    strata = hyp_or_strata.strata if hasattr(hyp_or_strata, "strata") else tuple(hyp_or_strata)
     below: dict[str, list[str]] = {s.name: [] for s in strata}
     for s in strata:
         for above in s.contained_in:

@@ -15,6 +15,8 @@ the negative-control ring with a flipped relation sign.
   line twist also inverts itself: twisting by -ell undoes twisting by ell.
 * The Chern-root kernel `times_chern` against products with expanded
   powers and inverses of each 1 + ell, and undone by the opposite roots.
+  Both sides divide through one recurrence, `chow.divide`, which the
+  sympy oracle checks on its own.
 """
 
 import random
@@ -35,7 +37,7 @@ from milnor_classes.bundles import (
     twist_chern,
 )
 from milnor_classes.charclass import aluffi_tensor
-from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
+from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, divide, parse_class
 from milnor_classes.lecycles import le_to_milnor
 from milnor_classes.projbundle import (
     grothendieck_residual,
@@ -326,6 +328,19 @@ class TestSympyOracle:
                 want = oracle.normal_form(oracle.poly(a) * oracle.poly(b))
                 assert oracle.sympy.expand(oracle.poly(a * b) - want) == 0
 
+    def test_divide(self, oracle):
+        # x dense over several codimensions: divide is the one graded
+        # division, which inverse and times_chern both call
+        ambient = oracle.ambient
+        rng = random.Random(16)
+        for times in (1, 2, 3):
+            for _ in range(3):
+                a = _sample(rng, ambient)
+                x = _sample(rng, ambient, unit=0, terms=8)
+                got = oracle.poly(divide(a, x, times))
+                undone = oracle.normal_form(got * (1 + oracle.poly(x)) ** times)
+                assert oracle.sympy.expand(undone - oracle.poly(a)) == 0
+
     @pytest.mark.parametrize("name", ["bundle", "corrupted", "tower"])
     def test_parse_reduces_rewrite_generators(self, sympy, name):
         oracle = _Oracle(sympy, RINGS[name])
@@ -403,12 +418,19 @@ class TestTimesChern:
     @pytest.mark.parametrize("name", sorted(RINGS))
     def test_rootless_factor_is_expanded(self, name):
         # a factor 1 + x with x not of codimension 1 stands for c(E) of a
-        # bundle without roots
+        # bundle without roots and goes through the same product and
+        # division as a root; a single monomial of codimension 2 (h^2,
+        # h1 h2, h z, z^2) must not take the binomial series of one generator
         ambient = RINGS[name]
         rng = random.Random(23)
-        for _ in range(6):
-            a = _sample(rng, ambient)
-            x = _sample(rng, ambient, unit=0) + _sample(rng, ambient, unit=0) ** 2
+        first, last = ambient.gen(0), ambient.gen(len(ambient.generators) - 1)
+        cases = [(_sample(rng, ambient),
+                  _sample(rng, ambient, unit=0) + _sample(rng, ambient, unit=0) ** 2)
+                 for _ in range(6)]
+        cases += [(_sample(rng, ambient), x) for x in (
+            first * first, first * ambient.gen(1 % len(ambient.generators)),
+            first * last, last * last)]
+        for a, x in cases:
             for m in (-2, -1, 1, 2):
                 assert times_chern(a, [(x, m)]) == expanded_product(a, [(x, m)])
 

@@ -233,7 +233,7 @@ SPLIT_IDS = [f"{base!r}-{degrees}".replace(" ", "") for base, degrees in SPLIT_C
 
 
 class TestRootless:
-    """Bundles without Chern roots take the expanded branch of each kernel."""
+    """Bundles without Chern roots enter each kernel as one expanded factor."""
 
     @staticmethod
     def _inputs(ring):

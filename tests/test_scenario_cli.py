@@ -309,6 +309,12 @@ class TestCli:
         path.write_text("{not json")
         run_cli("compute", str(path), expect=2)
 
+    def test_deeply_nested_json_exit_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        result = run_cli("compute", str(path), expect=2)
+        assert "Traceback" not in result.stderr
+
     def test_non_utf8_file_exit_2(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"name": "\xe9"}')
@@ -407,6 +413,9 @@ INPUT_ERRORS = [
     ("contained-in-entry-int", "nodal_cubic_p2",
      _set(("hypersurfaces", 0, "strata", 1, "contained_in"), [1]),
      "hypersurfaces[0].strata[1].contained_in[0]"),
+    ("intersection-repeated-name", "two_planes_cap_plane_p3",
+     _set(("intersection", "hypersurfaces"), ["plane", "plane"]),
+     "intersection.hypersurfaces[1]"),
     ("intersection-entry-list", "two_planes_cap_plane_p3",
      _set(("intersection", "hypersurfaces", 0), [1]), "intersection.hypersurfaces[0]"),
     ("nothing-to-compute", "nodal_cubic_p2", _set(("hypersurfaces",), []), "scenario"),
