@@ -12,25 +12,30 @@ tautological class per bundle level), kept in normal form:
   of c(p*E) (1+z)^(-1) = 0 (the tautological sub-bundle has rank r-1).
 
 Every relation is homogeneous and the top codimension is the dimension,
-so a monomial of total degree above the dimension is zero.  The normal
-form of each monomial with a rewrite generator above its cap is computed
-once per ring instance and kept on it.
+so a monomial of total degree above the dimension is zero.
 
-Products run on integer keys.  Each ring encodes a monomial as a
-mixed-radix integer with base 2 cap + 1 per generator.  Precondition: both
-factors are in normal form, so every exponent is at most its cap; then
-each exponent of a product monomial is at most 2 cap, no slot carries, and
-the key of a product is the sum of the keys.  One kernel serves multiply,
-inverse, the line twist (`bundles.line_twist`) and the Chern-root
-products and divisions (`bundles.times_chern`): `add_products` sums
-coefficients over integer keys, skipping pairs past the top codimension,
-and `AmbientSpace.settle` takes each distinct key of the sum once: it
-keeps an in-cap monomial, drops one with a truncate generator above its
-cap and reduces one with only rewrite generators above their caps.  Each
-ring keeps the normal form of every key it has settled, once.  `divide`
-is the one graded division, for the inverse and for every division of
-`times_chern`; it and the powers of ell settle one codimension at a time
-with `settle_terms`, which stays in key space.
+Every monomial is reduced on an integer key.  Each ring encodes a
+monomial as a mixed-radix integer with base 2 cap + 2 per generator, so a
+slot holds any exponent up to 2 cap + 1: the sum of two normal-form
+exponents, and z itself on a rank-1 level, whose cap is 0.  No slot of
+such a sum carries, so the key of a product is the sum of the keys.
+`AmbientSpace._key_form` is the one reduction.  A key is zero above the
+dimension or with a truncate slot above its cap, and its own normal form
+when every slot is within its cap.  Otherwise its innermost rewrite slot
+above its cap is rewritten through that level's relation, which has no
+outer slot and at most cap in each inner one, so no child key carries.
+Each ring keeps one table, `_key_forms`, with the normal form of every key
+it has reduced.
+
+One kernel serves multiply, inverse, the line twist (`bundles.line_twist`)
+and the Chern-root products and divisions (`bundles.times_chern`):
+`add_products` sums coefficients over integer keys, skipping pairs past
+the top codimension, and `AmbientSpace.settle` takes each distinct key of
+the sum once.  `from_coeffs`, and with it `gen` and `parse_class`, encodes
+its monomials and settles them the same way.  `divide` is the one graded
+division, for the inverse and for every division of `times_chern`; it and
+the powers of ell settle one codimension at a time with `settle_terms`,
+which stays in key space.
 
 The tangent class of every ambient comes from its Chern roots (see
 `bundles`): TP^n = O(1)^(n+1) - O, a product of projective spaces takes
@@ -46,8 +51,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import add, itemgetter, le, mul
+from itertools import groupby, repeat
+from operator import itemgetter, le, lt, mul
 from typing import Mapping
 
 
@@ -92,14 +97,9 @@ class AmbientSpace:
         return tuple(g.cap for g in self.generators)
 
     @cached_property
-    def _truncate_caps(self) -> tuple[float, ...]:
-        """Caps of the truncate generators; rewrite generators are unbounded."""
-        return tuple(float("inf") if g.rewrite else g.cap for g in self.generators)
-
-    @cached_property
     def _bases(self) -> tuple[int, ...]:
-        """Radix of each exponent slot of a monomial key: 2 cap + 1."""
-        return tuple(2 * g.cap + 1 for g in self.generators)
+        """Radix of each exponent slot of a monomial key: 2 cap + 2."""
+        return tuple(2 * g.cap + 2 for g in self.generators)
 
     @cached_property
     def _places(self) -> tuple[int, ...]:
@@ -114,6 +114,15 @@ class AmbientSpace:
         """(monomial, key, coefficient) terms of the normal form of every settled key."""
         return {}
 
+    @cached_property
+    def _relation_keys(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
+        """Per rewrite slot: the key of its generator to the power cap + 1, and
+        the (key, coefficient) terms of the relation that replaces it."""
+        places = self._places
+        return {i: ((self.generators[i].cap + 1) * places[i],
+                    [(sum(map(mul, m, places)), c) for m, c in rel.items()])
+                for i, rel in self._zeta_relations.items()}
+
     # -- product kernel -----------------------------------------------------
 
     def key_terms(self, coeffs: Mapping[tuple[int, ...], int]) -> list[tuple[int, int, int]]:
@@ -124,13 +133,10 @@ class AmbientSpace:
         return terms
 
     def settle(self, acc: Mapping[int, int]) -> dict[tuple[int, ...], int]:
-        """Normal form of a sum of product keys, each decoded once per ring.
+        """Normal form of a sum of keys, each reduced once per ring by `_key_form`.
 
-        Every key must be a sum of two normal-form keys (or one), so that
-        no slot has carried.  A key is decoded into its monomial, whose
-        normal form `_reduce_term` gives once and `_key_forms` keeps: the
-        monomial itself when in cap, its reduction when only rewrite
-        generators are above their caps, and zero otherwise.
+        Every slot of every key must be below its radix, as it is for a sum
+        of two normal-form keys.
         """
         forms = self._key_forms
         out: dict[tuple[int, ...], int] = {}
@@ -167,17 +173,50 @@ class AmbientSpace:
         return [(codim, k, c) for k, c in out.items() if c]
 
     def _key_form(self, key: int) -> list[tuple[tuple[int, ...], int, int]]:
-        """Decode a key into its monomial and keep its normal form in `_key_forms`."""
-        exps = []
-        rest = key
-        for base in self._bases:
-            rest, e = divmod(rest, base)
-            exps.append(e)
-        nf: dict[tuple[int, ...], int] = {}
-        self._reduce_term(tuple(exps), 1, nf)
-        places = self._places
-        form = self._key_forms[key] = [(m, sum(map(mul, m, places)), v) for m, v in nf.items()]
-        return form
+        """Normal form of a key by the rules of the module docstring.
+
+        It goes into `_key_forms` with the form of every key it reduces
+        through, each decoded once.  A child key is smaller than its parent,
+        and a work stack rather than recursion keeps the depth independent
+        of the exponent.
+        """
+        forms = self._key_forms
+        caps = self.top_monomial
+        dim = self.dimension
+        waiting: dict[int, list[tuple[int, int]]] = {}  # key -> its (child key, coefficient)
+        stack = [key]
+        while stack:
+            k = stack.pop()
+            if k in forms:
+                continue
+            children = waiting.pop(k, None)
+            if children is None:
+                exps, rest = [], k
+                for base in self._bases:
+                    rest, e = divmod(rest, base)
+                    exps.append(e)
+                if sum(exps) <= dim and all(map(le, exps, caps)):
+                    forms[k] = [(tuple(exps), k, 1)]
+                    continue
+                over = [i for i, (e, cap) in enumerate(zip(exps, caps)) if e > cap]
+                if sum(exps) > dim or any(not self.generators[i].rewrite for i in over):
+                    forms[k] = []
+                    continue
+                drop, relation = self._relation_keys[over[0]]
+                children = [(k - drop + rk, c) for rk, c in relation]
+                missing = [ck for ck, _ in children if ck not in forms]
+                if missing:
+                    # reduce the children first, then come back to k
+                    waiting[k] = children
+                    stack.append(k)
+                    stack.extend(missing)
+                    continue
+            nf: dict[tuple[tuple[int, ...], int], int] = {}
+            for ck, c in children:
+                for m, kk, v in forms[ck]:
+                    nf[m, kk] = nf.get((m, kk), 0) + c * v
+            forms[k] = [(m, kk, v) for (m, kk), v in nf.items() if v]
+        return forms[key]
 
     # -- class constructors -------------------------------------------------
 
@@ -203,13 +242,34 @@ class AmbientSpace:
         return CycleClass(self, {self.top_monomial: 1})
 
     def from_coeffs(self, coeffs: Mapping[tuple[int, ...], int]) -> "CycleClass":
-        """Build a class from raw monomial data, reducing to normal form."""
-        out: dict[tuple[int, ...], int] = {}
-        for mono, c in coeffs.items():
+        """Build a class from raw monomial data, reducing to normal form.
+
+        Each monomial is encoded as a key and settled.  One with an
+        exponent past its slot's radix is the product of the normal forms
+        of its halves and of its remainder bits, so the recursion depth is
+        at most log2 of the exponent.
+        """
+        bases = self._bases
+        places = self._places
+        acc: dict[int, int] = {}
+        items = list(coeffs.items())
+        for mono, c in items:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be exact integers, got {c!r}")
-            self._reduce_term(tuple(mono), c, out)
-        return CycleClass(self, {m: c for m, c in out.items() if c})
+            mono = tuple(mono)
+            if len(mono) != len(bases):
+                raise ValueError(f"monomial {mono} has {len(mono)} exponents, "
+                                 f"ambient has {len(bases)} generators")
+            if min(mono) < 0 or not all(map(isinstance, mono, repeat(int))):
+                raise ValueError(f"exponents must be non-negative integers, got {mono!r}")
+            if all(map(lt, mono, bases)):
+                key = sum(map(mul, mono, places))
+                acc[key] = acc.get(key, 0) + c
+            elif c and sum(mono) <= self.dimension:
+                half = self.from_coeffs({tuple(e // 2 for e in mono): 1})
+                part = half * half * self.from_coeffs({tuple(e % 2 for e in mono): c})
+                items += part.coeffs.items()  # in normal form: the loop encodes them
+        return CycleClass(self, self.settle(acc))
 
     @cached_property
     def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
@@ -228,76 +288,6 @@ class AmbientSpace:
     @cached_property
     def _zeta_relations(self) -> dict[int, dict[tuple[int, ...], int]]:
         return {}
-
-    @cached_property
-    def _normal_forms(self) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-        """Normal form of every monomial reduced so far in this ring."""
-        return {}
-
-    def _reduce_term(self, mono: tuple[int, ...], coeff: int,
-                     out: dict[tuple[int, ...], int]) -> None:
-        """Add coeff times the normal form of mono into out.
-
-        A truncate generator above its cap, or a total degree above the
-        dimension, makes the monomial zero.  A rewrite generator above its
-        cap is reduced through its relation; that normal form is computed
-        once per ring and kept in `_normal_forms`.
-        """
-        gens = self.generators
-        if len(mono) != len(gens):
-            raise ValueError(
-                f"monomial {mono} has {len(mono)} exponents, ambient has {len(gens)} generators")
-        if not coeff or sum(mono) > self.dimension:
-            return
-        if all(map(le, mono, self.top_monomial)):
-            out[mono] = out.get(mono, 0) + coeff
-        elif all(map(le, mono, self._truncate_caps)):
-            for m, c in self._normal_form(mono).items():
-                out[m] = out.get(m, 0) + coeff * c
-
-    def _normal_form(self, mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """Normal form of a monomial whose only over-cap generators rewrite.
-
-        Rewrites the outermost such generator through its relation and
-        combines the memoised normal forms of the results.  A work stack
-        rather than recursion keeps the depth independent of the exponent.
-        """
-        memo = self._normal_forms
-        if mono in memo:
-            return memo[mono]
-        caps = self.top_monomial
-        truncate_caps = self._truncate_caps
-        relations = self._zeta_relations
-        stack = [mono]
-        while stack:
-            m = stack[-1]
-            if m in memo:
-                stack.pop()
-                continue
-            # outermost generator first so nested bundle levels settle
-            hot = max(i for i, (e, cap) in enumerate(zip(m, caps)) if e > cap)
-            rest = list(m)
-            rest[hot] -= caps[hot] + 1
-            nf: dict[tuple[int, ...], int] = {}
-            missing = []
-            for rel_mono, rel_c in relations[hot].items():
-                child = tuple(map(add, rest, rel_mono))
-                if all(map(le, child, caps)):
-                    nf[child] = nf.get(child, 0) + rel_c
-                elif all(map(le, child, truncate_caps)):
-                    form = memo.get(child)
-                    if form is None:
-                        missing.append(child)
-                    elif not missing:
-                        for k, v in form.items():
-                            nf[k] = nf.get(k, 0) + rel_c * v
-            if missing:
-                # reduce the results first, then come back to m
-                stack.extend(missing)
-                continue
-            memo[m] = {k: v for k, v in nf.items() if v}
-            stack.pop()
-        return memo[mono]
 
 
 @dataclass(frozen=True)
@@ -427,11 +417,9 @@ class ProjBundle(AmbientSpace):
         """p_* : read off the z^(r-1) coefficient of the normal form."""
         if a.ambient != self:
             raise AmbientMismatchError("pushforward argument must live on this bundle")
-        out: dict[tuple[int, ...], int] = {}
-        for mono, c in a.coeffs.items():
-            if mono[-1] == self.rank - 1:
-                out[mono[:-1]] = c
-        return self.base.from_coeffs(out)
+        # a normal-form monomial's base exponents are in base normal form
+        top = self.rank - 1
+        return CycleClass(self.base, {m[:-1]: c for m, c in a.coeffs.items() if m[-1] == top})
 
     @cached_property
     def relative_tangent_chern(self) -> "CycleClass":

@@ -14,12 +14,10 @@ import argparse
 import sys
 
 from .examples import list_examples, run_example
-from .scenario import ScenarioError, intersection_formulas, load_scenario_file, run_compute
+from .scenario import ScenarioError, check_formulas, load_scenario_file, run_compute
 from .verify import SUITES, run_verify
 
 FORMULA_CHOICES = ("thm41", "cor11", "cor12", "pp", "aluffi", "all")
-# hypersurface results that only the aluffi route computes
-ALUFFI_RESULTS = ("mu-class", "milnor-aluffi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,28 +60,17 @@ def _emit(report, machine: bool, no_timing: bool) -> None:
 
 
 def cmd_compute(args) -> int:
+    selected = set(args.formula or [])
+    if "all" in selected:
+        selected = set()
     try:
         scenario = load_scenario_file(args.file)
+        check_formulas(scenario, selected)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
-    selected = set(args.formula or [])
-    if "all" in selected:
-        selected = set()
-    if selected and "aluffi" not in selected and "hypersurfaces" in scenario.tasks:
-        for i, spec in enumerate(scenario.hypersurfaces):
-            for key in ALUFFI_RESULTS:
-                if key in spec.expected:
-                    print(f"error: hypersurfaces[{i}].expected.{key}: computed only by "
-                          f"the aluffi formula, which --formula leaves out", file=sys.stderr)
-                    return 2
-    if "intersection" in scenario.tasks and not intersection_formulas(scenario, selected):
-        print("error: intersection: --formula leaves no intersection formula to run; "
-              "choose thm41, cor11, cor12 or pp (pp needs strata on every member)",
-              file=sys.stderr)
         return 2
     report = run_compute(scenario, formulas=selected, with_timing=not args.no_timing)
     _emit(report, args.machine, args.no_timing)

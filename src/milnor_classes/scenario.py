@@ -53,12 +53,14 @@ class ScenarioError(ValueError):
 
 TASK_KINDS = ("hypersurfaces", "intersection", "general_case")
 # hypersurface result keys an `expected` block may name, with the data
-# fields each one needs; the CLI also rejects mu-class and milnor-aluffi
+# fields each one needs; `check_formulas` also rejects ALUFFI_RESULTS
 # under a --formula choice without aluffi
 RESULT_NEEDS = {"virt": (), "csm": (), "milnor": (), "chi": (),
                 "milnor-le": ("strata", "le_cycles"),
                 "mu-class": ("strata", "sing_segre"),
                 "milnor-aluffi": ("strata", "sing_segre")}
+# hypersurface results that only the aluffi route computes
+ALUFFI_RESULTS = ("mu-class", "milnor-aluffi")
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -448,8 +450,7 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
         milnor_le = le_to_milnor(spec.le, spec.line_bundle)
         sec.results["milnor-le"] = milnor_le.render()
         sec.verdicts["le-agrees"] = milnor_le == cb.milnor
-    if spec.hyp is not None and spec.segre is not None and (
-            "aluffi" in formulas or not formulas):
+    if spec.hyp is not None and spec.segre is not None and runs_aluffi(formulas):
         mu = mu_class(spec.hyp, spec.segre)
         am = aluffi_milnor(spec.hyp, mu)
         sec.results["mu-class"] = mu.render()
@@ -462,6 +463,30 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
         if got is None:
             sec.notes.append(f"expected key {key!r} was not computed")
     return sec
+
+
+def runs_aluffi(formulas: set[str]) -> bool:
+    """Whether a formula selection (empty: all of them) runs the aluffi route."""
+    return not formulas or "aluffi" in formulas
+
+
+def check_formulas(sc: Scenario, formulas: set[str]) -> None:
+    """Reject a formula selection that leaves a requested check with nothing to run.
+
+    An expected ALUFFI_RESULTS value needs the aluffi route, and an
+    intersection task needs at least one intersection formula.
+    """
+    if not runs_aluffi(formulas) and "hypersurfaces" in sc.tasks:
+        for i, spec in enumerate(sc.hypersurfaces):
+            for key in ALUFFI_RESULTS:
+                if key in spec.expected:
+                    raise ScenarioError(f"hypersurfaces[{i}].expected.{key}",
+                                        "computed only by the aluffi formula, which "
+                                        "--formula leaves out")
+    if "intersection" in sc.tasks and not intersection_formulas(sc, formulas):
+        raise ScenarioError("intersection", "--formula leaves no intersection formula to "
+                            "run; choose thm41, cor11, cor12 or pp (pp needs strata on "
+                            "every member)")
 
 
 def intersection_formulas(sc: Scenario, formulas: set[str]) -> tuple[str, ...]:

@@ -71,6 +71,14 @@ class TestArithmetic:
         with pytest.raises(TypeError, match="exact integers"):
             P2.from_coeffs({(1,): 1.5})
 
+    @pytest.mark.parametrize("mono", [(-1,), (1.0,)])
+    def test_bad_exponents_rejected(self, mono):
+        # a negative exponent read as a key would borrow from the next slot
+        with pytest.raises(ValueError, match="non-negative integers"):
+            P2.from_coeffs({mono: 1})
+        with pytest.raises(ValueError, match="non-negative integers"):
+            P1xP1.from_coeffs({(0,) + mono: 1})
+
     def test_mul_p2(self):
         h = P2.gen(0)
         sq = (P2.one() + h) * (P2.one() + h)

@@ -1,9 +1,12 @@
 """The graded ring kernels: multiply, inverse, grading, dual and line twists.
 
 Two kinds of checks run on every supported ring shape: P^n, products of
-projective spaces (one with a P^0 factor, whose generator has cap 0 and
-so a key radix of 1), a one-level and a two-level projective bundle, and
-the negative-control ring with a flipped relation sign.
+projective spaces (one with a P^0 factor, whose generator has cap 0), a
+one-level and two two-level projective bundles (the second with inner cap
+2, where the innermost-first rewrite rule matters), P(L^v) of a line
+bundle and a tower whose outer level has rank 1 (a tautological generator
+of cap 0, rewritten wherever it occurs), and the negative-control ring
+with a flipped relation sign.
 
 * An external oracle (sympy, skipped when absent): the normal form of a
   product is the remainder modulo a Groebner basis of the defining ideal,
@@ -21,7 +24,7 @@ the negative-control ring with a flipped relation sign.
 
 import random
 from itertools import product
-from math import comb
+from math import comb, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +66,11 @@ def _rings():
     level1 = ProjBundle(ProjSpace(1), 2, e1.chern, e1.roots)
     h, z = level1.gen(0), level1.zeta()
     chern2 = (level1.one() + h + z) * (level1.one() + h.scale(2) - z)
+    line = _split(p2, [2])
+    p3 = ProjSpace(3)
+    e3 = _split(p3, [1, 2, 0])
+    wide = ProjBundle(p3, 3, e3.chern, e3.roots)
+    h3, z3 = wide.gen(0), wide.zeta()
     return {
         "P4": ProjSpace(4),
         "P2xP1xP1": MultiProj((2, 1, 1)),
@@ -70,11 +78,19 @@ def _rings():
         "bundle": ProjBundle(p2, 3, e.chern, e.roots),
         "tower": ProjBundle(level1, 2, chern2, ((h + z, 1), (h.scale(2) - z, 1))),
         "corrupted": CorruptedBundle(p2, 3, e.chern, e.roots),
+        # rank-1 levels: z has cap 0 and is rewritten as c1 wherever it occurs
+        "line": ProjBundle(p2, 1, line.chern, line.roots),
+        "line_tower": ProjBundle(level1, 1, level1.one() + h - z.scale(2),
+                                 ((h - z.scale(2), 1),)),
+        # inner cap 2 and c2 = z^2 - h^2: rewriting the outer level of
+        # z^4 z2^2 first would carry the inner slot past its radix 6
+        "tower_cap2": ProjBundle(wide, 2, (wide.one() + z3 + h3) * (wide.one() + z3 - h3),
+                                 ((z3 + h3, 1), (z3 - h3, 1))),
     }
 
 
 RINGS = _rings()
-REWRITE_RINGS = ["bundle", "corrupted", "tower"]
+REWRITE_RINGS = ["bundle", "corrupted", "line", "line_tower", "tower", "tower_cap2"]
 
 
 def monomials_up_to(ambient, degree):
@@ -341,7 +357,7 @@ class TestSympyOracle:
                 undone = oracle.normal_form(got * (1 + oracle.poly(x)) ** times)
                 assert oracle.sympy.expand(undone - oracle.poly(a)) == 0
 
-    @pytest.mark.parametrize("name", ["bundle", "corrupted", "tower"])
+    @pytest.mark.parametrize("name", REWRITE_RINGS)
     def test_parse_reduces_rewrite_generators(self, sympy, name):
         oracle = _Oracle(sympy, RINGS[name])
         ambient = oracle.ambient
@@ -489,7 +505,7 @@ class TestNormalFormMemo:
     def test_z_power_closed_form(self):
         # on P(O(1)+O(1)) over P^n the relation is (z - h)^2 = 0, so
         # z^N = N h^(N-1) z - (N-1) h^N, and z^N = 0 past the dimension n + 1;
-        # z^999 comes first, reduced on a cold ring without recursion
+        # z^999 comes first, on a cold ring
         for n, powers in ((40, range(2, 44)), (1000, (999, 2, 3, 30, 500, 1000, 1001, 1002))):
             base = ProjSpace(n)
             ring = make_bundle_ring(base, _split(base, [1, 1]))
@@ -500,6 +516,27 @@ class TestNormalFormMemo:
                 if N <= n:
                     want[(N, 0)] = 1 - N
                 assert parse_class(ring, f"z^{N}").coeffs == want
+
+    def test_far_exponent_recursion_depth(self, monkeypatch):
+        # z^999 is past the key radix 4 of z on P(O(1)+O(1)) over P^1000, so
+        # from_coeffs builds it from halves, nesting at most log2(999) deep
+        base = ProjSpace(1000)
+        ring = make_bundle_ring(base, _split(base, [1, 1]))
+        depth = deepest = 0
+        from_coeffs = ProjBundle.from_coeffs
+
+        def nesting(self, coeffs):
+            nonlocal depth, deepest
+            depth += 1
+            deepest = max(deepest, depth)
+            try:
+                return from_coeffs(self, coeffs)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(ProjBundle, "from_coeffs", nesting)
+        assert parse_class(ring, "z^999").coeffs == {(998, 1): 999, (999, 0): -998}
+        assert 1 < deepest <= 1 + log2(999)
 
 
 # -- normal-form invariant -----------------------------------------------------------
@@ -513,7 +550,7 @@ def _within_caps(a):
 class TestNormalFormInvariant:
     """Every constructor keeps each exponent within its cap.
 
-    The product kernel sums integer keys with base 2 cap + 1 per exponent,
+    The product kernel sums integer keys with base 2 cap + 2 per exponent,
     which is exact only on normal-form operands.
     """
 
