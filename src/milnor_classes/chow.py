@@ -234,9 +234,14 @@ class AmbientSpace:
 
     def gen(self, index: int) -> "CycleClass":
         """The index-th generator as a codimension-1 class (in normal form)."""
+        return self._gens[index]
+
+    @cached_property
+    def _gens(self) -> "tuple[CycleClass, ...]":
+        """Every generator's class, built once per ring."""
         n = len(self.generators)
-        mono = tuple(1 if i == index else 0 for i in range(n))
-        return self.from_coeffs({mono: 1})
+        return tuple(self.from_coeffs({tuple(int(i == j) for i in range(n)): 1})
+                     for j in range(n))
 
     def point_class(self) -> "CycleClass":
         return CycleClass(self, {self.top_monomial: 1})

@@ -14,10 +14,10 @@ import argparse
 import sys
 
 from .examples import list_examples, run_example
-from .scenario import ScenarioError, check_formulas, load_scenario_file, run_compute
+from .scenario import ROUTES, ScenarioError, check_formulas, load_scenario_file, run_compute
 from .verify import SUITES, run_verify
 
-FORMULA_CHOICES = ("thm41", "cor11", "cor12", "pp", "aluffi", "all")
+FORMULA_CHOICES = (*dict.fromkeys(g for g, _, _ in ROUTES.values() if g), "all")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,10 +5,13 @@ hypersurfaces (strata and/or Le-cycle data, optional Segre descriptor of
 the singular locus, optional oracle and expected values), an optional
 intersection block, an optional general-case block and optional tasks.
 parse_scenario checks the whole document and returns typed values only;
-run_compute reads those and raises no input errors.  Reports carry a
-human-readable table and a machine-readable JSON rendering with canonical
-class text as values; identical inputs yield byte-identical reports once
-timing is suppressed.
+run_compute reads those and raises no input errors.  ROUTES states each
+route to a Milnor class once: its --formula group, the data it needs and
+the result keys it adds; `runs` decides from it which routes a run
+computes, and `check_formulas` which --formula choices leave a requested
+check unrun.  Reports carry a human-readable table and a machine-readable
+JSON rendering with canonical class text as values; identical inputs yield
+byte-identical reports once timing is suppressed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 from .chow import AmbientSpace, CycleClass, MultiProj, ProjSpace, parse_class
 from .bundles import BundleClass, direct_sum, line_bundle, trivial_bundle
@@ -52,15 +55,21 @@ class ScenarioError(ValueError):
 # -- parsing -------------------------------------------------------------------
 
 TASK_KINDS = ("hypersurfaces", "intersection", "general_case")
-# hypersurface result keys an `expected` block may name, with the data
-# fields each one needs; `check_formulas` also rejects ALUFFI_RESULTS
-# under a --formula choice without aluffi
-RESULT_NEEDS = {"virt": (), "csm": (), "milnor": (), "chi": (),
-                "milnor-le": ("strata", "le_cycles"),
-                "mu-class": ("strata", "sing_segre"),
-                "milnor-aluffi": ("strata", "sing_segre")}
-# hypersurface results that only the aluffi route computes
-ALUFFI_RESULTS = ("mu-class", "milnor-aluffi")
+# Every route to a Milnor class: its --formula group (None: always runs), the
+# data fields each hypersurface it reads must have, and the hypersurface result
+# keys it adds.  intersect.FORMULAS are the intersection routes.
+ROUTES = {
+    "classes": (None, (), ("virt", "csm", "milnor", "chi")),
+    "thm41": ("thm41", (), ()),
+    "cor11": ("cor11", (), ()),
+    "cor12": ("cor12", (), ()),
+    "pp_ais": ("pp", ("strata",), ()),
+    "pp_full": ("pp", ("strata",), ()),
+    "le": (None, ("strata", "le_cycles"), ("milnor-le",)),
+    "aluffi": ("aluffi", ("strata", "sing_segre"), ("mu-class", "milnor-aluffi")),
+}
+# the route behind each result key an `expected` block may name
+RESULT_ROUTES = {key: route for route, (_, _, keys) in ROUTES.items() for key in keys}
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -77,6 +86,15 @@ def _checked(fieldpath: str, fn: Callable, *args: Any) -> Any:
         return fn(*args)
     except ValueError as exc:
         raise ScenarioError(fieldpath, str(exc)) from exc
+
+
+def _keyed(data: Any, allowed: Collection[str], fieldpath: str, what: str) -> dict:
+    """A JSON object each of whose keys is one of allowed."""
+    for key in sorted(_typed(data, dict, fieldpath)):
+        if key not in allowed:
+            raise ScenarioError(f"{fieldpath}.{key}",
+                                f"unknown {what}; choose from {sorted(allowed)}")
+    return data
 
 
 def _require(mapping: dict, key: str, fieldpath: str) -> Any:
@@ -250,24 +268,24 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
                    f"{fieldpath}.sing_segre.arg")
         segre = _checked(f"{fieldpath}.sing_segre", segre_builtin, ambient, center, arg)
 
-    oracle = _typed(hdata.get("oracle", {}), dict, f"{fieldpath}.oracle")
+    oracle = _keyed(hdata.get("oracle", {}), ("chi", "csm"), f"{fieldpath}.oracle",
+                    "oracle key")
     oracle_csm = (None if "csm" not in oracle else
                   _parse_class(ambient, oracle["csm"], f"{fieldpath}.oracle.csm"))
     oracle_chi = (None if "chi" not in oracle else
                   _int(oracle["chi"], f"{fieldpath}.oracle.chi"))
+    spec = HypersurfaceSpec(name=hname, hyp=hyp, line_bundle=lb, le=le, segre=segre,
+                            oracle_csm=oracle_csm, oracle_chi=oracle_chi, expected={})
     epath = f"{fieldpath}.expected"
-    expected = {}
-    for key, want in sorted(_typed(hdata.get("expected", {}), dict, epath).items()):
+    expected = _keyed(hdata.get("expected", {}), RESULT_ROUTES, epath, "result key")
+    for key, want in sorted(expected.items()):
         kpath = f"{epath}.{key}"
-        if key not in RESULT_NEEDS:
-            raise ScenarioError(kpath, f"unknown result key; choose from {sorted(RESULT_NEEDS)}")
-        if any(need not in hdata for need in RESULT_NEEDS[key]):
-            raise ScenarioError(kpath, f"needs {' and '.join(RESULT_NEEDS[key])} data")
-        expected[key] = (_int(want, kpath) if key == "chi"
-                         else _parse_class(ambient, want, kpath))
-    return HypersurfaceSpec(name=hname, hyp=hyp, line_bundle=lb, le=le, segre=segre,
-                            oracle_csm=oracle_csm, oracle_chi=oracle_chi,
-                            expected=expected)
+        if not runs(RESULT_ROUTES[key], set(), [spec]):
+            needs = ROUTES[RESULT_ROUTES[key]][1]
+            raise ScenarioError(kpath, f"needs {' and '.join(needs)} data")
+        spec.expected[key] = (_int(want, kpath) if key == "chi"
+                              else _parse_class(ambient, want, kpath))
+    return spec
 
 
 def _parse_intersection(ambient: AmbientSpace, block: Any,
@@ -283,7 +301,7 @@ def _parse_intersection(ambient: AmbientSpace, block: Any,
     if len(names) < 2:
         raise ScenarioError("intersection.hypersurfaces",
                             f"an intersection needs r >= 2 hypersurfaces, got {len(names)}")
-    exp = _typed(block.get("expected", {}), dict, "intersection.expected")
+    exp = _keyed(block.get("expected", {}), ("milnor",), "intersection.expected", "result key")
     expected = (None if "milnor" not in exp else
                 _parse_class(ambient, exp["milnor"], "intersection.expected.milnor"))
     support = block.get("support")
@@ -446,11 +464,11 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
         sec.verdicts["definition-identity"] = cb.definition_identity_holds()
     if spec.oracle_chi is not None:
         sec.verdicts["chi-oracle"] = cb.csm.degree() == spec.oracle_chi
-    if spec.hyp is not None and spec.le is not None:
+    if runs("le", formulas, [spec]):
         milnor_le = le_to_milnor(spec.le, spec.line_bundle)
         sec.results["milnor-le"] = milnor_le.render()
         sec.verdicts["le-agrees"] = milnor_le == cb.milnor
-    if spec.hyp is not None and spec.segre is not None and runs_aluffi(formulas):
+    if runs("aluffi", formulas, [spec]):
         mu = mu_class(spec.hyp, spec.segre)
         am = aluffi_milnor(spec.hyp, mu)
         sec.results["mu-class"] = mu.render()
@@ -465,43 +483,35 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
     return sec
 
 
-def runs_aluffi(formulas: set[str]) -> bool:
-    """Whether a formula selection (empty: all of them) runs the aluffi route."""
-    return not formulas or "aluffi" in formulas
+def runs(route: str, formulas: set[str], specs: list[HypersurfaceSpec]) -> bool:
+    """Whether a selection (empty: all) picks the route's group and every spec has its data."""
+    group, needs, _ = ROUTES[route]
+    given = [{"strata": s.hyp, "le_cycles": s.le, "sing_segre": s.segre} for s in specs]
+    return ((group is None or not formulas or group in formulas)
+            and all(data[f] is not None for data in given for f in needs))
 
 
 def check_formulas(sc: Scenario, formulas: set[str]) -> None:
-    """Reject a formula selection that leaves a requested check with nothing to run.
-
-    An expected ALUFFI_RESULTS value needs the aluffi route, and an
-    intersection task needs at least one intersection formula.
-    """
-    if not runs_aluffi(formulas) and "hypersurfaces" in sc.tasks:
-        for i, spec in enumerate(sc.hypersurfaces):
-            for key in ALUFFI_RESULTS:
-                if key in spec.expected:
-                    raise ScenarioError(f"hypersurfaces[{i}].expected.{key}",
-                                        "computed only by the aluffi formula, which "
-                                        "--formula leaves out")
+    """Reject a formula selection that leaves an expected result or an intersection unrun."""
+    for i, spec in enumerate(sc.hypersurfaces if "hypersurfaces" in sc.tasks else ()):
+        for key, route in RESULT_ROUTES.items():
+            if key in spec.expected and not runs(route, formulas, [spec]):
+                raise ScenarioError(f"hypersurfaces[{i}].expected.{key}",
+                                    f"computed only by the {ROUTES[route][0]} formula, "
+                                    "which --formula leaves out")
     if "intersection" in sc.tasks and not intersection_formulas(sc, formulas):
+        *rest, last = groups = {ROUTES[f][0]: ROUTES[f][1] for f in FORMULAS}
+        needs = "".join(f" ({group} needs {' and '.join(fields)} on every member)"
+                        for group, fields in groups.items() if fields)
         raise ScenarioError("intersection", "--formula leaves no intersection formula to "
-                            "run; choose thm41, cor11, cor12 or pp (pp needs strata on "
-                            "every member)")
+                            f"run; choose {', '.join(rest)} or {last}{needs}")
 
 
 def intersection_formulas(sc: Scenario, formulas: set[str]) -> tuple[str, ...]:
-    """The intersection formulas a run computes, in report order.
-
-    An empty selection means all of them, and "pp" selects both per-stratum
-    expansions; those need strata on every member, so a Le-only member
-    leaves them out.
-    """
+    """The intersection formulas a run computes, in report order."""
     by_name = {s.name: s for s in sc.hypersurfaces}
-    strata_ok = all(by_name[n].hyp is not None for n in sc.intersection.names)
-    return tuple(f for f in FORMULAS
-                 if (not formulas or f in formulas
-                     or (f.startswith("pp_") and "pp" in formulas))
-                 and (strata_ok or not f.startswith("pp_")))
+    members = [by_name[n] for n in sc.intersection.names]
+    return tuple(f for f in FORMULAS if runs(f, formulas, members))
 
 
 def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], ClassBundle3],

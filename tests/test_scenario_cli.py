@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from milnor_classes import cli
 from milnor_classes.chow import ProjSpace, parse_class
 from milnor_classes.examples import list_examples, load_fixture
+from milnor_classes.intersect import FORMULAS
 from milnor_classes.scenario import (
+    ROUTES,
     ScenarioError,
     load_scenario_file,
     parse_scenario,
@@ -428,6 +430,12 @@ INPUT_ERRORS = [
     ("expected-milnor-le-without-le", "nodal_cubic_p2",
      _set(("hypersurfaces", 0, "expected", "milnor-le"), "h^2"),
      "hypersurfaces[0].expected.milnor-le"),
+    # both used to be ignored: the first dropped the definition-identity
+    # verdict, the second the expected value, and --strict exited 0
+    ("oracle-unknown-key", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "oracle"), {"cms": "3*h^2 + 3*h"}), "hypersurfaces[0].oracle.cms"),
+    ("intersection-expected-unknown-key", "two_planes_cap_plane_p3",
+     _set(("intersection", "expected"), {"milnr": "5*h^3"}), "intersection.expected.milnr"),
 ]
 
 
@@ -520,3 +528,71 @@ class TestExitCodeContract:
         assert cli.main(["compute", str(path), "--no-timing"]) in (0, 1, 2)
         capsys.readouterr()
 
+
+TRIPLE = ["virt", "csm", "milnor", "chi"]
+EVERY_FORMULA = ["thm41", "cor11", "cor12", "pp_ais", "pp_full"]
+# --formula values -> the intersection formulas they run on
+# two_planes_cap_plane_p3 (None: exit 2) and whether they run the aluffi route
+SELECTIONS = [
+    ((), EVERY_FORMULA, True),
+    (("thm41",), ["thm41"], False),
+    (("cor11",), ["cor11"], False),
+    (("cor12",), ["cor12"], False),
+    (("pp",), ["pp_ais", "pp_full"], False),
+    (("aluffi",), None, True),
+    (("all",), EVERY_FORMULA, True),
+    (("pp", "aluffi"), ["pp_ais", "pp_full"], True),
+    (("thm41", "aluffi"), ["thm41"], True),
+]
+SELECTION_IDS = ["+".join(s[0]) or "default" for s in SELECTIONS]
+
+
+def _keys_run(tmp_path, capsys, data, selection):
+    """(kind, result keys, verdict keys) of each section, or None on exit 2."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    argv = ["compute", str(path), "--machine", "--no-timing", "--strict"]
+    for formula in selection:
+        argv += ["--formula", formula]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    if code == 2:
+        return None
+    assert code == 0
+    return [(s["kind"], list(s["results"]), list(s["verdicts"]))
+            for s in json.loads(out)["sections"]]
+
+
+class TestFormulaSelection:
+    """What each --formula choice runs, read from the route table."""
+
+    @pytest.mark.parametrize("selection,formulas,_", SELECTIONS, ids=SELECTION_IDS)
+    def test_intersection_fixture(self, tmp_path, capsys, selection, formulas, _):
+        got = _keys_run(tmp_path, capsys, load_fixture("two_planes_cap_plane_p3"), selection)
+        if formulas is None:
+            assert got is None
+            return
+        assert got == [
+            ("hypersurface", TRIPLE, ["definition-identity", "chi-oracle"]),
+            ("hypersurface", TRIPLE, ["chi-oracle"]),
+            ("intersection", formulas + ["expected"], ["formulas-agree", "support"]),
+        ]
+
+    @pytest.mark.parametrize("selection,_,aluffi", SELECTIONS, ids=SELECTION_IDS)
+    def test_le_and_segre_data(self, tmp_path, capsys, selection, _, aluffi):
+        # the Le route always runs; the aluffi route only when selected
+        data = load_fixture("two_planes_le_route_p3")
+        data["hypersurfaces"][0]["sing_segre"] = {"center": "linear", "arg": 1}
+        results = TRIPLE + ["milnor-le"] + (["mu-class", "milnor-aluffi"] if aluffi else [])
+        verdicts = (["definition-identity", "chi-oracle", "le-agrees"]
+                    + (["aluffi-agrees"] if aluffi else [])
+                    + ["expected-milnor", "expected-milnor-le"])
+        assert _keys_run(tmp_path, capsys, data, selection) == [
+            ("hypersurface", results, verdicts)]
+
+    def test_every_formula_has_a_route(self):
+        assert set(FORMULAS) <= set(ROUTES)
+        assert all(ROUTES[name][0] is not None for name in FORMULAS)
+
+    def test_choices_are_the_route_groups(self):
+        assert cli.FORMULA_CHOICES == ("thm41", "cor11", "cor12", "pp", "aluffi", "all")
