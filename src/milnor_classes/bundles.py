@@ -54,7 +54,7 @@ def _merge_roots(pairs: Iterable[tuple[CycleClass, int]]) -> Roots:
 
 def _is_root(ell: CycleClass) -> bool:
     """ell is zero or homogeneous of codimension 1."""
-    return all(map((1).__eq__, map(sum, ell.coeffs)))
+    return ell.part(1, 1) == ell
 
 
 @dataclass(frozen=True)
@@ -163,24 +163,25 @@ def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
     """
     ambient = a.ambient
     n = ambient.dimension
+    place = ambient.codim_place
     series = _binomial_series(ell)
     acc: dict[int, int] = {}
-    for k, part in groupby(ambient.key_terms(a.coeffs), itemgetter(0)):
-        add_products(acc, list(part), series(s - k, n - k), n)
+    for k, part in groupby(a.terms.items(), lambda kc: kc[0] // place):
+        add_products(acc, part, series(s - k, n - k), ambient.key_bound)
     return CycleClass(ambient, ambient.settle(acc))
 
 
 def _binomial_series(ell: CycleClass):
-    """series(e, top): key terms of (1 + ell)^e up to codimension top.
+    """series(e, top): (key, coefficient) terms of (1 + ell)^e up to codimension top.
 
-    The calls share the key terms of the powers ell^i, built on demand.
+    The calls share the terms of the powers ell^i, built on demand.
     """
     ambient = ell.ambient
-    n = ambient.dimension
-    ell_terms = ambient.key_terms(ell.coeffs)
-    powers = [[(0, 0, 1)]]
+    bound = ambient.key_bound
+    ell_terms = ell.terms.items()
+    powers = [[(0, 1)]]
 
-    def series(e: int, top: int) -> list[tuple[int, int, int]]:
+    def series(e: int, top: int) -> list[tuple[int, int]]:
         out = []
         binom = 1
         for i in range(top + 1):
@@ -190,11 +191,11 @@ def _binomial_series(ell: CycleClass):
                     break
             if i == len(powers):
                 step: dict[int, int] = {}
-                add_products(step, powers[-1], ell_terms, n)
-                powers.append(ambient.settle_terms(step, i))
+                add_products(step, powers[-1], ell_terms, bound)
+                powers.append(list(ambient.settle(step).items()))
             if not powers[i]:  # ell^i = 0, and so is every higher power
                 break
-            out += [(i, key, binom * c) for _, key, c in powers[i]]
+            out += [(key, binom * c) for key, c in powers[i]]
         return out
 
     return series
@@ -216,19 +217,18 @@ def times_chern(a: CycleClass, roots: Iterable[tuple[CycleClass, int]]) -> Cycle
     series has terms (the tangent powers c(TP^n)^(-k)).
     """
     ambient = a.ambient
-    dim = ambient.dimension
     one = ambient.one()
     for x, m in sorted(_merge_roots(roots), key=lambda root: root[1] < 0):
         if not x or not a:
             continue
-        terms = ambient.key_terms(a.coeffs)
-        top = dim - terms[0][0]  # (1 + x)^m matters up to this codimension
+        # (1 + x)^m matters up to this codimension
+        top = ambient.dimension - next(iter(a.terms)) // ambient.codim_place
         if not top:
             continue
         cap = _truncate_cap(x)
         if cap is not None and (m > 0 or -m > min(top, cap)):
             acc: dict[int, int] = {}
-            add_products(acc, terms, _binomial_series(x)(m, top), dim)
+            add_products(acc, a.terms.items(), _binomial_series(x)(m, top), ambient.key_bound)
             a = CycleClass(ambient, ambient.settle(acc))
         elif m > 0:
             for _ in range(m):
@@ -244,11 +244,9 @@ def _truncate_cap(ell: CycleClass) -> int | None:
     Only then is (1 + ell)^m the binomial series in one codimension-1
     class; a monomial such as h^2 or h1 h2 is not.
     """
-    if len(ell.coeffs) != 1:
+    if len(ell.terms) != 1 or not _is_root(ell):
         return None
     (mono,) = ell.coeffs
-    if sum(mono) != 1:
-        return None
     gen = ell.ambient.generators[mono.index(1)]
     return None if gen.rewrite else gen.cap
 
@@ -259,8 +257,7 @@ def twist_chern(chern: CycleClass, rank: int, ell: CycleClass) -> CycleClass:
     The line twist of the raw total Chern class cut at the rank: parts of
     chern above the rank do not enter.
     """
-    cut = {m: c for m, c in chern.coeffs.items() if sum(m) <= rank}
-    return line_twist(CycleClass(chern.ambient, cut), ell, rank)
+    return line_twist(chern.part(0, rank), ell, rank)
 
 
 def tensor_line(e: BundleClass, l: BundleClass) -> BundleClass:

@@ -14,11 +14,17 @@ tautological class per bundle level), kept in normal form:
 Every relation is homogeneous and the top codimension is the dimension,
 so a monomial of total degree above the dimension is zero.
 
-Every monomial is reduced on an integer key.  Each ring encodes a
-monomial as a mixed-radix integer with base 2 cap + 2 per generator, so a
-slot holds any exponent up to 2 cap + 1: the sum of two normal-form
-exponents, and z itself on a rank-1 level, whose cap is 0.  No slot of
-such a sum carries, so the key of a product is the sum of the keys.
+A class is stored by integer keys only: `CycleClass.terms` maps the key
+of each normal-form monomial to its coefficient, in ascending key order.
+A key is a mixed-radix integer with base 2 cap + 2 per generator, the
+last generator in the lowest digit, and the codimension as one more, top
+digit.  So keys sort by codimension and then by exponent tuple, a slot
+holds any exponent up to 2 cap + 1 (the sum of two normal-form exponents,
+and z itself on a rank-1 level, whose cap is 0), no slot of such a sum
+carries, and the key of a product is the sum of the keys: past the top
+codimension exactly when it reaches `key_bound`.  Exponent tuples are
+only read (`from_coeffs`, `parse_class`) and written (`coeffs`, `render`).
+
 `AmbientSpace._key_form` is the one reduction.  A key is zero above the
 dimension or with a truncate slot above its cap, and its own normal form
 when every slot is within its cap.  Otherwise its innermost rewrite slot
@@ -29,13 +35,13 @@ it has reduced.
 
 One kernel serves multiply, inverse, the line twist (`bundles.line_twist`)
 and the Chern-root products and divisions (`bundles.times_chern`):
-`add_products` sums coefficients over integer keys, skipping pairs past
-the top codimension, and `AmbientSpace.settle` takes each distinct key of
-the sum once.  `from_coeffs`, and with it `gen` and `parse_class`, encodes
-its monomials and settles them the same way.  `divide` is the one graded
-division, for the inverse and for every division of `times_chern`; it and
-the powers of ell settle one codimension at a time with `settle_terms`,
-which stays in key space.
+`add_products` sums coefficients over pairs of keys below `key_bound`, and
+`AmbientSpace.settle` takes each distinct key of the sum once.
+`from_coeffs`, and with it `gen` and `parse_class`, encodes its monomials
+and settles them the same way.  `divide` is the one graded division, for
+the inverse and for every division of `times_chern`; it and the powers of
+ell settle one codimension at a time.  `CycleClass.part` is the one cut
+by codimension.
 
 The tangent class of every ambient comes from its Chern roots (see
 `bundles`): TP^n = O(1)^(n+1) - O, a product of projective spaces takes
@@ -52,8 +58,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, repeat
-from operator import itemgetter, le, lt, mul
-from typing import Mapping
+from operator import floordiv, lt, mod, mul
+from typing import Collection, Iterable, Mapping
 
 
 class AmbientMismatchError(ValueError):
@@ -103,62 +109,50 @@ class AmbientSpace:
 
     @cached_property
     def _places(self) -> tuple[int, ...]:
-        """Place value of each exponent slot of a monomial key."""
+        """Place value of each exponent slot; the last generator's slot is the lowest."""
         places = [1]
-        for base in self._bases[:-1]:
+        for base in reversed(self._bases[1:]):
             places.append(places[-1] * base)
-        return tuple(places)
+        return tuple(reversed(places))
 
     @cached_property
-    def _key_forms(self) -> dict[int, list[tuple[tuple[int, ...], int, int]]]:
-        """(monomial, key, coefficient) terms of the normal form of every settled key."""
+    def codim_place(self) -> int:
+        """Place value of the top key digit, the codimension."""
+        return self._places[0] * self._bases[0]
+
+    @cached_property
+    def key_bound(self) -> int:
+        """The least key past the top codimension."""
+        return (self.dimension + 1) * self.codim_place
+
+    def key_of(self, mono: tuple[int, ...]) -> int:
+        """Key of a monomial whose every exponent is below its slot's radix."""
+        return sum(map(mul, mono, self._places)) + sum(mono) * self.codim_place
+
+    def monomial(self, key: int) -> tuple[int, ...]:
+        """Exponent tuple of a key."""
+        return tuple(map(mod, map(floordiv, repeat(key), self._places), self._bases))
+
+    @cached_property
+    def _key_forms(self) -> dict[int, list[tuple[int, int]]]:
+        """(key, coefficient) terms of the normal form of every settled key."""
         return {}
 
     @cached_property
     def _relation_keys(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
         """Per rewrite slot: the key of its generator to the power cap + 1, and
         the (key, coefficient) terms of the relation that replaces it."""
-        places = self._places
-        return {i: ((self.generators[i].cap + 1) * places[i],
-                    [(sum(map(mul, m, places)), c) for m, c in rel.items()])
+        places, place = self._places, self.codim_place
+        return {i: ((self.generators[i].cap + 1) * (places[i] + place),
+                    [(self.key_of(m), c) for m, c in rel.items()])
                 for i, rel in self._zeta_relations.items()}
 
     # -- product kernel -----------------------------------------------------
 
-    def key_terms(self, coeffs: Mapping[tuple[int, ...], int]) -> list[tuple[int, int, int]]:
-        """(codimension, key, coefficient) of every normal-form monomial, by codimension."""
-        places = self._places
-        terms = [(sum(m), sum(map(mul, m, places)), c) for m, c in coeffs.items()]
-        terms.sort()
-        return terms
-
-    def settle(self, acc: Mapping[int, int]) -> dict[tuple[int, ...], int]:
-        """Normal form of a sum of keys, each reduced once per ring by `_key_form`.
-
-        Every slot of every key must be below its radix, as it is for a sum
-        of two normal-form keys.
-        """
-        forms = self._key_forms
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for key, c in acc.items():
-            if not c:
-                continue
-            form = forms.get(key)
-            if form is None:
-                form = self._key_form(key)
-            for m, _, v in form:
-                out[m] = get(m, 0) + c * v
-        return {m: c for m, c in out.items() if c}
-
-    def settle_terms(self, acc: Mapping[int, int], codim: int) -> list[tuple[int, int, int]]:
-        """`settle` of a sum of keys of one codimension, kept as key terms.
-
-        Every relation is homogeneous, so the normal form stays in that
-        codimension; the (codimension, key, coefficient) terms feed the next
-        `add_products` without decoding, and `settle` of their keys gives
-        the monomials at the end.
-        """
+    def settle(self, acc: Mapping[int, int]) -> dict[int, int]:
+        """Normal form of a sum of keys in ascending key order, each key reduced
+        once per ring by `_key_form`.  Every slot of every key must be below
+        its radix, as it is for a sum of two normal-form keys."""
         forms = self._key_forms
         out: dict[int, int] = {}
         get = out.get
@@ -168,21 +162,20 @@ class AmbientSpace:
             form = forms.get(key)
             if form is None:
                 form = self._key_form(key)
-            for _, k, v in form:
+            for k, v in form:
                 out[k] = get(k, 0) + c * v
-        return [(codim, k, c) for k, c in out.items() if c]
+        return {k: c for k, c in sorted(out.items()) if c}
 
-    def _key_form(self, key: int) -> list[tuple[tuple[int, ...], int, int]]:
+    def _key_form(self, key: int) -> list[tuple[int, int]]:
         """Normal form of a key by the rules of the module docstring.
 
         It goes into `_key_forms` with the form of every key it reduces
-        through, each decoded once.  A child key is smaller than its parent,
-        and a work stack rather than recursion keeps the depth independent
-        of the exponent.
+        through.  A work stack rather than recursion keeps the depth
+        independent of the exponent.
         """
         forms = self._key_forms
         caps = self.top_monomial
-        dim = self.dimension
+        bound = self.key_bound
         waiting: dict[int, list[tuple[int, int]]] = {}  # key -> its (child key, coefficient)
         stack = [key]
         while stack:
@@ -191,16 +184,13 @@ class AmbientSpace:
                 continue
             children = waiting.pop(k, None)
             if children is None:
-                exps, rest = [], k
-                for base in self._bases:
-                    rest, e = divmod(rest, base)
-                    exps.append(e)
-                if sum(exps) <= dim and all(map(le, exps, caps)):
-                    forms[k] = [(tuple(exps), k, 1)]
-                    continue
+                exps = self.monomial(k)
                 over = [i for i, (e, cap) in enumerate(zip(exps, caps)) if e > cap]
-                if sum(exps) > dim or any(not self.generators[i].rewrite for i in over):
+                if k >= bound or any(not self.generators[i].rewrite for i in over):
                     forms[k] = []
+                    continue
+                if not over:
+                    forms[k] = [(k, 1)]
                     continue
                 drop, relation = self._relation_keys[over[0]]
                 children = [(k - drop + rk, c) for rk, c in relation]
@@ -211,11 +201,11 @@ class AmbientSpace:
                     stack.append(k)
                     stack.extend(missing)
                     continue
-            nf: dict[tuple[tuple[int, ...], int], int] = {}
+            nf: dict[int, int] = {}
             for ck, c in children:
-                for m, kk, v in forms[ck]:
-                    nf[m, kk] = nf.get((m, kk), 0) + c * v
-            forms[k] = [(m, kk, v) for (m, kk), v in nf.items() if v]
+                for kk, v in forms[ck]:
+                    nf[kk] = nf.get(kk, 0) + c * v
+            forms[k] = [(kk, v) for kk, v in nf.items() if v]
         return forms[key]
 
     # -- class constructors -------------------------------------------------
@@ -229,8 +219,7 @@ class AmbientSpace:
     def from_int(self, m: int) -> "CycleClass":
         if not isinstance(m, int):
             raise TypeError(f"scalars must be exact integers, got {m!r}")
-        n = len(self.generators)
-        return CycleClass(self, {(0,) * n: m} if m else {})
+        return CycleClass(self, {0: m} if m else {})
 
     def gen(self, index: int) -> "CycleClass":
         """The index-th generator as a codimension-1 class (in normal form)."""
@@ -244,7 +233,7 @@ class AmbientSpace:
                      for j in range(n))
 
     def point_class(self) -> "CycleClass":
-        return CycleClass(self, {self.top_monomial: 1})
+        return CycleClass(self, {self.key_of(self.top_monomial): 1})
 
     def from_coeffs(self, coeffs: Mapping[tuple[int, ...], int]) -> "CycleClass":
         """Build a class from raw monomial data, reducing to normal form.
@@ -255,10 +244,8 @@ class AmbientSpace:
         at most log2 of the exponent.
         """
         bases = self._bases
-        places = self._places
         acc: dict[int, int] = {}
-        items = list(coeffs.items())
-        for mono, c in items:
+        for mono, c in coeffs.items():
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be exact integers, got {c!r}")
             mono = tuple(mono)
@@ -268,12 +255,13 @@ class AmbientSpace:
             if min(mono) < 0 or not all(map(isinstance, mono, repeat(int))):
                 raise ValueError(f"exponents must be non-negative integers, got {mono!r}")
             if all(map(lt, mono, bases)):
-                key = sum(map(mul, mono, places))
+                key = self.key_of(mono)
                 acc[key] = acc.get(key, 0) + c
             elif c and sum(mono) <= self.dimension:
                 half = self.from_coeffs({tuple(e // 2 for e in mono): 1})
                 part = half * half * self.from_coeffs({tuple(e % 2 for e in mono): c})
-                items += part.coeffs.items()  # in normal form: the loop encodes them
+                for key, v in part.terms.items():  # in normal form
+                    acc[key] = acc.get(key, 0) + v
         return CycleClass(self, self.settle(acc))
 
     @cached_property
@@ -400,23 +388,19 @@ class ProjBundle(AmbientSpace):
             for i, rel in self.base._zeta_relations.items()
         }
         zpos = len(self.generators) - 1
-        rel: dict[tuple[int, ...], int] = {}
-        for i, part in self.chern.components()[1:self.rank + 1]:
-            sign = (-1) ** (i - 1)
-            for mono, c in part.coeffs.items():
-                key = mono + (self.rank - i,)
-                rel[key] = rel.get(key, 0) + sign * c
-        rels[zpos] = {m: c for m, c in rel.items() if c}
+        rels[zpos] = {mono + (self.rank - sum(mono),): (-1) ** (sum(mono) - 1) * c
+                      for mono, c in self.chern.part(1, self.rank).coeffs.items()}
         return rels
 
     def zeta(self) -> "CycleClass":
         return self.gen(len(self.generators) - 1)
 
     def pullback(self, a: "CycleClass") -> "CycleClass":
-        """p* of a class on the base: same coefficients, zero z-exponent."""
+        """p* of a class on the base: each key times z's radix, the lowest digit."""
         if a.ambient != self.base:
             raise AmbientMismatchError("pullback argument must live on the base")
-        return CycleClass(self, {m + (0,): c for m, c in a.coeffs.items()})
+        radix = self._bases[-1]
+        return CycleClass(self, {k * radix: c for k, c in a.terms.items()})
 
     def pushforward(self, a: "CycleClass") -> "CycleClass":
         """p_* : read off the z^(r-1) coefficient of the normal form."""
@@ -424,7 +408,9 @@ class ProjBundle(AmbientSpace):
             raise AmbientMismatchError("pushforward argument must live on this bundle")
         # a normal-form monomial's base exponents are in base normal form
         top = self.rank - 1
-        return CycleClass(self.base, {m[:-1]: c for m, c in a.coeffs.items() if m[-1] == top})
+        radix, shift = self._bases[-1], top * self.base.codim_place
+        return CycleClass(self.base, {k // radix - shift: c for k, c in a.terms.items()
+                                      if k % radix == top})
 
     @cached_property
     def relative_tangent_chern(self) -> "CycleClass":
@@ -490,20 +476,20 @@ class ProjBundle(AmbientSpace):
         return f"ProjBundle({self.base!r}, rank={self.rank})"
 
 
-def add_products(acc: dict[int, int], left: list[tuple[int, int, int]],
-                 right: list[tuple[int, int, int]], dim: int) -> None:
-    """acc[k1 + k2] += c1 c2 over (codimension, key, coefficient) terms of left and right.
+def add_products(acc: dict[int, int], left: Iterable[tuple[int, int]],
+                 right: Collection[tuple[int, int]], bound: int) -> None:
+    """acc[k1 + k2] += c1 c2 over the (key, coefficient) terms of left and right.
 
-    The pair loop of the product kernel.  right is sorted by codimension,
-    and a pair whose codimensions add past dim is skipped: every ring is
-    graded with top codimension dim, so that product is zero.
-    `AmbientSpace.settle` turns acc into normal form.
+    The pair loop of the product kernel.  right, read once per left term,
+    is in ascending codimension, and a pair with k1 + k2 >= bound, the
+    ring's `key_bound`, is past the top codimension, zero, and ends the
+    inner loop.  `AmbientSpace.settle` turns acc into normal form.
     """
     get = acc.get
-    for d1, k1, c1 in left:
-        room = dim - d1
-        for d2, k2, c2 in right:
-            if d2 > room:
+    for k1, c1 in left:
+        room = bound - k1
+        for k2, c2 in right:
+            if k2 >= room:
                 break
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
@@ -514,48 +500,53 @@ def divide(a: CycleClass, x: CycleClass, times: int) -> CycleClass:
 
     Each pass solves b (1 + x) = a by b_k = a_k - x_1 b_(k-1) - ... - x_k b_0
     over the codimension-j pieces x_j of x.  Every relation is homogeneous,
-    so b_k is the codimension-k piece of b: one `settle_terms` of its summed
-    key products, kept as key terms for the next codimensions.
+    so b_k is the codimension-k piece of b: one `settle` of its summed key
+    products, which the next codimensions read.
     """
     ambient = a.ambient
-    dim = ambient.dimension
-    minus_x: dict[int, list[tuple[int, int, int]]] = {}
-    for d, key, c in ambient.key_terms(x.coeffs):
-        minus_x.setdefault(d, []).append((d, key, -c))
-    terms = ambient.key_terms(a.coeffs)
+    place, bound = ambient.codim_place, ambient.key_bound
+    minus_x: dict[int, list[tuple[int, int]]] = {}
+    for key, c in x.terms.items():
+        minus_x.setdefault(key // place, []).append((key, -c))
+    terms = a.terms
     if not terms:
         return a
     for _ in range(times):
-        pieces = {k: list(part) for k, part in groupby(terms, itemgetter(0))}
-        start = terms[0][0]
-        solved: list[list[tuple[int, int, int]]] = []  # b_start, b_(start+1), ...
-        for k in range(start, dim + 1):
-            acc = {key: c for _, key, c in pieces.get(k, ())}
+        pieces = {k: list(part) for k, part in groupby(terms.items(), lambda kc: kc[0] // place)}
+        start = next(iter(terms)) // place
+        solved: list[list[tuple[int, int]]] = []  # b_start, b_(start+1), ...
+        for k in range(start, ambient.dimension + 1):
+            acc = dict(pieces.get(k, ()))
             for j, piece in minus_x.items():  # ascending codimension
                 if j > k - start:
                     break
-                add_products(acc, solved[k - start - j], piece, dim)
-            solved.append(ambient.settle_terms(acc, k))
-        terms = [term for part in solved for term in part]
-    # pieces of distinct codimension never share a key
-    return CycleClass(ambient, ambient.settle({key: c for _, key, c in terms}))
+                add_products(acc, solved[k - start - j], piece, bound)
+            solved.append(list(ambient.settle(acc).items()))
+        terms = {key: c for part in solved for key, c in part}
+    return CycleClass(ambient, terms)
 
 
 class CycleClass:
     """Element of the truncated Chow ring of an ambient space.
 
-    Immutable after construction; coeffs maps exponent tuples in normal
-    form to nonzero ints, so every exponent is at most its generator's cap,
-    which the product kernel's integer keys rely on.  Grading is by
-    codimension (total exponent).
+    Immutable after construction.  terms maps the keys of normal-form
+    monomials to nonzero ints in ascending key order, so by codimension and
+    within one codimension by exponent tuple; every constructor keeps that
+    order.  coeffs is the same class decoded to exponent tuples.
     """
 
-    __slots__ = ("ambient", "coeffs", "_hash")
+    __slots__ = ("ambient", "terms", "_hash")
 
-    def __init__(self, ambient: AmbientSpace, coeffs: dict[tuple[int, ...], int]):
+    def __init__(self, ambient: AmbientSpace, terms: dict[int, int]):
         self.ambient = ambient
-        self.coeffs = coeffs
+        self.terms = terms
         self._hash: int | None = None
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], int]:
+        """A decoded copy: {exponent tuple: coefficient}."""
+        monomial = self.ambient.monomial
+        return {monomial(k): c for k, c in self.terms.items()}
 
     # -- basic protocol ------------------------------------------------------
 
@@ -563,18 +554,18 @@ class CycleClass:
         if not isinstance(other, CycleClass):
             return NotImplemented
         return ((self.ambient is other.ambient or self.ambient == other.ambient)
-                and self.coeffs == other.coeffs)
+                and self.terms == other.terms)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.ambient, frozenset(self.coeffs.items())))
+            self._hash = hash((self.ambient, frozenset(self.terms.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def _check_same(self, other: "CycleClass") -> None:
         # identity first: ProjBundle equality recurses through the tower
@@ -586,17 +577,22 @@ class CycleClass:
 
     def __add__(self, other: "CycleClass") -> "CycleClass":
         self._check_same(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
+        out = dict(self.terms)
+        top = next(reversed(out), -1)
+        ordered = True  # a key that self lacks goes last: below self's top it breaks the order
+        for k, c in other.terms.items():
+            v = out.get(k)
+            if v is None:
+                out[k] = c
+                ordered = ordered and k > top
+            elif v + c:
+                out[k] = v + c
             else:
-                out.pop(m, None)
-        return CycleClass(self.ambient, out)
+                del out[k]
+        return CycleClass(self.ambient, out if ordered else dict(sorted(out.items())))
 
     def __neg__(self) -> "CycleClass":
-        return CycleClass(self.ambient, {m: -c for m, c in self.coeffs.items()})
+        return CycleClass(self.ambient, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "CycleClass") -> "CycleClass":
         return self + (-other)
@@ -606,7 +602,7 @@ class CycleClass:
             raise TypeError(f"scalars must be exact integers, got {m!r}")
         if m == 0:
             return self.ambient.zero()
-        return CycleClass(self.ambient, {k: m * c for k, c in self.coeffs.items()})
+        return CycleClass(self.ambient, {k: m * c for k, c in self.terms.items()})
 
     def __rmul__(self, other: int) -> "CycleClass":
         if isinstance(other, int):
@@ -619,8 +615,7 @@ class CycleClass:
         self._check_same(other)
         ambient = self.ambient
         acc: dict[int, int] = {}
-        add_products(acc, ambient.key_terms(self.coeffs), ambient.key_terms(other.coeffs),
-                     ambient.dimension)
+        add_products(acc, self.terms.items(), other.terms.items(), ambient.key_bound)
         return CycleClass(ambient, ambient.settle(acc))
 
     def __pow__(self, k: int) -> "CycleClass":
@@ -643,54 +638,59 @@ class CycleClass:
         u (1 + u (a - u))^(-1), one `divide`; exact over the integers.
         """
         ambient = self.ambient
-        origin = (0,) * len(ambient.generators)
-        unit = self.coeffs.get(origin, 0)
+        unit = self.terms.get(0, 0)  # key 0 is the monomial 1
         if unit not in (1, -1):
             raise ValueError(f"degree-0 part {unit} is not a unit; cannot invert")
-        rest = {m: unit * c for m, c in self.coeffs.items() if m != origin}
+        rest = {k: unit * c for k, c in self.terms.items() if k}
         return divide(ambient.from_int(unit), CycleClass(ambient, rest), 1)
 
     def dual(self) -> "CycleClass":
         """c^v: flip the sign of every odd-codimension term (ambient grading)."""
-        return CycleClass(self.ambient, {m: -c if sum(m) % 2 else c
-                                         for m, c in self.coeffs.items()})
+        place = self.ambient.codim_place
+        return CycleClass(self.ambient, {k: -c if k // place % 2 else c
+                                         for k, c in self.terms.items()})
 
     # -- grading --------------------------------------------------------------
+
+    def part(self, lo: int, hi: int) -> "CycleClass":
+        """The sum of the homogeneous pieces of codimension lo through hi."""
+        place = self.ambient.codim_place
+        low, high = lo * place, (hi + 1) * place
+        return CycleClass(self.ambient,
+                          {k: c for k, c in self.terms.items() if low <= k < high})
 
     def component(self, codim: int) -> "CycleClass":
         """The homogeneous piece of the given codimension."""
         if codim < 0 or codim > self.ambient.dimension:
             raise ValueError(
                 f"codimension {codim} out of range 0..{self.ambient.dimension}")
-        return CycleClass(
-            self.ambient,
-            {m: c for m, c in self.coeffs.items() if sum(m) == codim})
+        return self.part(codim, codim)
 
     def components(self) -> list[tuple[int, "CycleClass"]]:
         """Every homogeneous piece (codim, class), codim 0..dimension, in one pass."""
-        buckets: list[dict[tuple[int, ...], int]] = [
-            {} for _ in range(self.ambient.dimension + 1)]
-        for m, c in self.coeffs.items():
-            buckets[sum(m)][m] = c
+        place = self.ambient.codim_place
+        buckets: list[dict[int, int]] = [{} for _ in range(self.ambient.dimension + 1)]
+        for k, c in self.terms.items():
+            buckets[k // place][k] = c
         return [(k, CycleClass(self.ambient, b)) for k, b in enumerate(buckets)]
 
     def degree(self) -> int:
         """Integral over the ambient: the coefficient of the point class."""
-        return self.coeffs.get(self.ambient.top_monomial, 0)
+        return self.terms.get(self.ambient.key_of(self.ambient.top_monomial), 0)
 
     # -- rendering -------------------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text: terms in descending codimension, unit parts omitted."""
-        if not self.coeffs:
+        """Canonical text: terms in descending key order, so by codimension and
+        then exponent tuple, unit parts omitted."""
+        if not self.terms:
             return "0"
         names = self.ambient.gen_names
-        items = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]),
-                       reverse=True)
+        monomial = self.ambient.monomial
         pieces: list[str] = []
-        for mono, coeff in items:
+        for key, coeff in reversed(self.terms.items()):
             factors = []
-            for name, e in zip(names, mono):
+            for name, e in zip(names, monomial(key)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .examples import list_examples, run_example
-from .scenario import ROUTES, ScenarioError, check_formulas, load_scenario_file, run_compute
+from .scenario import ROUTES, ScenarioError, load_scenario_file, run_compute
 from .verify import SUITES, run_verify
 
 FORMULA_CHOICES = (*dict.fromkeys(g for g, _, _ in ROUTES.values() if g), "all")
@@ -60,19 +60,15 @@ def _emit(report, machine: bool, no_timing: bool) -> None:
 
 
 def cmd_compute(args) -> int:
-    selected = set(args.formula or [])
-    if "all" in selected:
-        selected = set()
     try:
-        scenario = load_scenario_file(args.file)
-        check_formulas(scenario, selected)
+        report = run_compute(load_scenario_file(args.file), formulas=set(args.formula or []),
+                             with_timing=not args.no_timing)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
-    report = run_compute(scenario, formulas=selected, with_timing=not args.no_timing)
     _emit(report, args.machine, args.no_timing)
     if args.strict and not report.ok:
         return 1

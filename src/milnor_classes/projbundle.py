@@ -74,7 +74,7 @@ def verify_tangent_identities(ring: ProjBundle) -> TangentCheck:
     via_sub = twist_chern(ring.sub_chern.dual(), ring.rank - 1, ring.zeta())
     # the twisted dual has formal rank r but must reduce to a rank r-1
     # class; its codim >= r parts vanish exactly when the relation holds
-    ok = via_dual == via_sub and all(sum(m) < ring.rank for m in via_dual.coeffs)
+    ok = via_dual == via_sub and not via_dual.part(ring.rank, ring.dimension)
     return TangentCheck(ok=ok, via_dual_bundle=via_dual, via_sub_bundle=via_sub)
 
 
@@ -124,5 +124,4 @@ def flat_pullback_check(ring: ProjBundle, alpha: CycleClass) -> bool:
 
 def grothendieck_residual(ring: ProjBundle) -> CycleClass:
     """Codimension >= r part of c(p*E) (1+zeta)^(-1); zero iff the relation holds."""
-    return CycleClass(ring, {m: c for m, c in ring.sub_chern.coeffs.items()
-                             if sum(m) >= ring.rank})
+    return ring.sub_chern.part(ring.rank, ring.dimension)

@@ -5,9 +5,10 @@ hypersurfaces (strata and/or Le-cycle data, optional Segre descriptor of
 the singular locus, optional oracle and expected values), an optional
 intersection block, an optional general-case block and optional tasks.
 parse_scenario checks the whole document and returns typed values only;
-run_compute reads those and raises no input errors.  ROUTES states each
-route to a Milnor class once: its --formula group, the data it needs and
-the result keys it adds; `runs` decides from it which routes a run
+run_compute reads those, and its only input error is a --formula choice
+that `check_formulas` rejects before anything is computed.  ROUTES states
+each route to a Milnor class once: its --formula group, the data it needs
+and the result keys it adds; `runs` decides from it which routes a run
 computes, and `check_formulas` which --formula choices leave a requested
 check unrun.  Reports carry a human-readable table and a machine-readable
 JSON rendering with canonical class text as values; identical inputs yield
@@ -129,6 +130,7 @@ def parse_ambient(data: Any, fieldpath: str = "ambient") -> AmbientSpace:
     else:
         raise ScenarioError(f"{fieldpath}.kind",
                             f"unknown ambient kind {kind!r} (proj or multiproj)")
+    _keyed(data, ("kind", "n" if cls is ProjSpace else "dims"), fieldpath, "field")
     return _checked(fieldpath, cls, arg)
 
 
@@ -140,6 +142,8 @@ def _parse_class(ambient: AmbientSpace, text: Any, fieldpath: str) -> CycleClass
 
 def _parse_stratum(ambient: AmbientSpace, data: dict, lb: BundleClass,
                    fieldpath: str) -> Stratum:
+    _keyed(data, ("name", "dim", "milnor_fiber_chi", "contained_in", "closure", "csm_closure"),
+           fieldpath, "field")
     name = _name(data, fieldpath)
     dim = _int(_require(data, "dim", fieldpath), f"{fieldpath}.dim")
     chif = _int(_require(data, "milnor_fiber_chi", fieldpath),
@@ -148,27 +152,27 @@ def _parse_stratum(ambient: AmbientSpace, data: dict, lb: BundleClass,
     contained = frozenset(_typed(c, str, f"{cpath}[{k}]") for k, c in
                           enumerate(_typed(data.get("contained_in", []), list, cpath)))
     closure_spec = data.get("closure")
+    kpath = f"{fieldpath}.closure"
     if closure_spec is None:
         if contained:
-            raise ScenarioError(f"{fieldpath}.closure",
-                                "singular strata need closure data")
+            raise ScenarioError(kpath, "singular strata need closure data")
         closure_class, csm = lb.c1(), None
     elif closure_spec == "point":
         closure_class, csm = point_closure(ambient, 1)
     elif isinstance(closure_spec, dict) and "points" in closure_spec:
-        count = _int(closure_spec["points"], f"{fieldpath}.closure.points")
-        closure_class, csm = _checked(f"{fieldpath}.closure", point_closure, ambient, count)
+        count = _int(_keyed(closure_spec, ("points",), kpath, "field")["points"],
+                     f"{kpath}.points")
+        closure_class, csm = _checked(kpath, point_closure, ambient, count)
     elif isinstance(closure_spec, dict) and "linear" in closure_spec:
-        m = _int(closure_spec["linear"], f"{fieldpath}.closure.linear")
-        closure_class, csm = _checked(f"{fieldpath}.closure", linear_closure, ambient, m)
+        m = _int(_keyed(closure_spec, ("linear",), kpath, "field")["linear"],
+                 f"{kpath}.linear")
+        closure_class, csm = _checked(kpath, linear_closure, ambient, m)
     elif isinstance(closure_spec, dict) and "class" in closure_spec:
-        closure_class = _parse_class(ambient, closure_spec["class"],
-                                     f"{fieldpath}.closure.class")
-        csm = _parse_class(ambient, _require(closure_spec, "csm", f"{fieldpath}.closure"),
-                           f"{fieldpath}.closure.csm")
+        _keyed(closure_spec, ("class", "csm"), kpath, "field")
+        closure_class = _parse_class(ambient, closure_spec["class"], f"{kpath}.class")
+        csm = _parse_class(ambient, _require(closure_spec, "csm", kpath), f"{kpath}.csm")
     else:
-        raise ScenarioError(f"{fieldpath}.closure",
-                            f"unknown closure shorthand {closure_spec!r}")
+        raise ScenarioError(kpath, f"unknown closure shorthand {closure_spec!r}")
     oracle_csm = data.get("csm_closure")
     if oracle_csm is not None:
         csm = _parse_class(ambient, oracle_csm, f"{fieldpath}.csm_closure")
@@ -214,6 +218,8 @@ class Scenario:
 
 def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
                         fieldpath: str) -> HypersurfaceSpec:
+    _keyed(hdata, ("name", "multidegree", "strata", "le_cycles", "sing_segre", "oracle",
+                   "expected"), fieldpath, "field")
     hname = _name(hdata, fieldpath)
     multideg = _int_tuple(_require(hdata, "multidegree", fieldpath),
                           f"{fieldpath}.multidegree")
@@ -262,7 +268,8 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
 
     segre = None
     if "sing_segre" in hdata:
-        sdata = hdata["sing_segre"]
+        sdata = _keyed(hdata["sing_segre"], ("center", "arg"), f"{fieldpath}.sing_segre",
+                       "field")
         center = _require(sdata, "center", f"{fieldpath}.sing_segre")
         arg = _int(_require(sdata, "arg", f"{fieldpath}.sing_segre"),
                    f"{fieldpath}.sing_segre.arg")
@@ -290,6 +297,7 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
 
 def _parse_intersection(ambient: AmbientSpace, block: Any,
                         known: set[str]) -> IntersectionSpec:
+    _keyed(block, ("hypersurfaces", "expected", "support"), "intersection", "field")
     names = _typed(_require(block, "hypersurfaces", "intersection"), list,
                    "intersection.hypersurfaces")
     for j, ref in enumerate(names):
@@ -312,9 +320,12 @@ def _parse_intersection(ambient: AmbientSpace, block: Any,
 
 
 def _parse_general_case(block: Any) -> GeneralCaseSpec:
+    _keyed(block, ("base", "bundle", "milnor_tilde", "expected"), "general_case", "field")
     base = parse_ambient(_require(block, "base", "general_case"), "general_case.base")
     bpath = "general_case.bundle"
     bdata = _typed(_require(block, "bundle", "general_case"), dict, bpath)
+    _keyed(bdata, ("line_multidegrees",) if "line_multidegrees" in bdata else ("rank", "chern"),
+           bpath, "field")
     if "line_multidegrees" in bdata:
         e = trivial_bundle(base, 0)
         lpath = f"{bpath}.line_multidegrees"
@@ -338,6 +349,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     """Check a scenario document and build every value the compute stage reads."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario", "top level must be a JSON object")
+    # derivation and expect_fail are notes for the reader; nothing reads them
+    _keyed(data, ("name", "derivation", "expect_fail", "ambient", "hypersurfaces",
+                  "intersection", "general_case", "tasks"), "scenario", "field")
     ambient = parse_ambient(_require(data, "ambient", "scenario"))
     hyps: list[HypersurfaceSpec] = []
     for i, hdata in enumerate(_typed(data.get("hypersurfaces", []), list, "hypersurfaces")):
@@ -492,7 +506,11 @@ def runs(route: str, formulas: set[str], specs: list[HypersurfaceSpec]) -> bool:
 
 
 def check_formulas(sc: Scenario, formulas: set[str]) -> None:
-    """Reject a formula selection that leaves an expected result or an intersection unrun."""
+    """Reject a formula selection that names no route group, or that leaves an
+    expected result or an intersection unrun."""
+    unknown = formulas - {group for group, _, _ in ROUTES.values()}
+    if unknown:
+        raise ScenarioError("formula", f"unknown formula group(s) {sorted(unknown)}")
     for i, spec in enumerate(sc.hypersurfaces if "hypersurfaces" in sc.tasks else ()):
         for key, route in RESULT_ROUTES.items():
             if key in spec.expected and not runs(route, formulas, [spec]):
@@ -535,7 +553,8 @@ def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], Cla
             hyps.append(spec.hyp)
         triples.append(triple(spec))
     scenario_obj = IntersectionScenario(sc.ambient, tuple(hyps), tuple(triples))
-    if not all(s.hyp is not None for s in chosen):
+    # a selected formula whose data some member lacks: the per-stratum ones
+    if any(runs(f, formulas, []) and not runs(f, formulas, chosen) for f in FORMULAS):
         sec.notes.append("per-stratum formulas skipped: Le-only hypersurface present")
     cv = cross_validate(scenario_obj, expected=block.expected,
                         formulas=intersection_formulas(sc, formulas))
@@ -545,8 +564,8 @@ def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], Cla
         sec.results["expected"] = block.expected.render()
     sec.verdicts["formulas-agree"] = cv.agree
     if block.support is not None and cv.results:
-        allowed = {mono for cls in block.support for mono in cls.coeffs}
-        sec.verdicts["support"] = set(cv.results[0].value.coeffs) <= allowed
+        allowed = {key for cls in block.support for key in cls.terms}
+        sec.verdicts["support"] = cv.results[0].value.terms.keys() <= allowed
     return sec
 
 
@@ -564,9 +583,15 @@ def _general_case_section(sc: Scenario) -> ReportSection:
 
 def run_compute(sc: Scenario, formulas: set[str] | None = None,
                 with_timing: bool = True) -> ScenarioReport:
-    """Compute every task of a parsed scenario into a report."""
+    """Compute every task of a parsed scenario into a report.
+
+    formulas are --formula choices; empty or holding "all" selects every
+    route.  A selection that leaves a requested check unrun raises
+    ScenarioError (`check_formulas`) before anything is computed.
+    """
     start = time.monotonic()
-    formulas = formulas or set()
+    formulas = set() if not formulas or "all" in formulas else set(formulas)
+    check_formulas(sc, formulas)
     report = ScenarioReport(name=sc.name)
     triples: dict[str, ClassBundle3] = {}
 

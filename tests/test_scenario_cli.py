@@ -21,6 +21,7 @@ from milnor_classes.scenario import (
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+LE_MEMBER = Path(__file__).resolve().parent / "scenarios" / "le_member_cap_plane_p3.json"
 P1XP1 = {"kind": "multiproj", "dims": [1, 1]}
 
 
@@ -376,6 +377,15 @@ def _set(path, value):
     return mutate
 
 
+def _rename(path, new_key):
+    """A mutation that renames the object key at the end of path."""
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[new_key] = data.pop(path[-1])
+    return mutate
+
+
 INPUT_ERRORS = [
     # id, fixture, mutation, field path named in the error
     ("multidegree-length", "general_case_p2",
@@ -436,6 +446,31 @@ INPUT_ERRORS = [
      _set(("hypersurfaces", 0, "oracle"), {"cms": "3*h^2 + 3*h"}), "hypersurfaces[0].oracle.cms"),
     ("intersection-expected-unknown-key", "two_planes_cap_plane_p3",
      _set(("intersection", "expected"), {"milnr": "5*h^3"}), "intersection.expected.milnr"),
+    # unknown keys used to be ignored: a misspelled intersection block was
+    # skipped and --strict exited 0
+    ("top-level-unknown-key", "two_planes_cap_plane_p3",
+     _rename(("intersection",), "intersecton"), "scenario.intersecton"),
+    ("ambient-unknown-key", "nodal_cubic_p2", _set(("ambient", "m"), 3), "ambient.m"),
+    ("ambient-dims-on-proj", "nodal_cubic_p2", _set(("ambient", "dims"), [2]), "ambient.dims"),
+    ("base-unknown-key", "general_case_p2", _set(("general_case", "base", "dims"), [2]),
+     "general_case.base.dims"),
+    ("hypersurface-unknown-key", "nodal_cubic_p2",
+     _rename(("hypersurfaces", 0, "oracle"), "oracel"), "hypersurfaces[0].oracel"),
+    ("stratum-unknown-key", "nodal_cubic_p2",
+     _rename(("hypersurfaces", 0, "strata", 1, "closure"), "closur"),
+     "hypersurfaces[0].strata[1].closur"),
+    ("closure-unknown-key", "two_planes_p3",
+     _set(("hypersurfaces", 0, "strata", 1, "closure", "csm"), "h^2"),
+     "hypersurfaces[0].strata[1].closure.csm"),
+    ("sing-segre-unknown-key", "nodal_cubic_p2",
+     _rename(("hypersurfaces", 0, "sing_segre", "arg"), "args"),
+     "hypersurfaces[0].sing_segre.args"),
+    ("intersection-unknown-key", "two_planes_cap_plane_p3",
+     _rename(("intersection", "support"), "suport"), "intersection.suport"),
+    ("general-case-unknown-key", "general_case_p2",
+     _rename(("general_case", "expected"), "expect"), "general_case.expect"),
+    ("bundle-unknown-key", "general_case_p2", _set(("general_case", "bundle", "rank"), 2),
+     "general_case.bundle.rank"),
 ]
 
 
@@ -527,6 +562,38 @@ class TestExitCodeContract:
         path.write_text(json.dumps(doc))
         assert cli.main(["compute", str(path), "--no-timing"]) in (0, 1, 2)
         capsys.readouterr()
+
+
+class TestRunCompute:
+    """The library entry point checks a formula selection itself."""
+
+    def test_all_runs_every_formula(self):
+        sc = parse_scenario(load_fixture("two_planes_cap_plane_p3"))
+        section = run_compute(sc, {"all"}, with_timing=False).sections[-1]
+        assert list(section.results) == EVERY_FORMULA + ["expected"]
+        assert section.verdicts == {"formulas-agree": True, "support": True}
+
+    def test_no_intersection_formula_raises(self):
+        sc = parse_scenario(load_fixture("two_planes_cap_plane_p3"))
+        with pytest.raises(ScenarioError, match="^intersection: "):
+            run_compute(sc, {"aluffi"})
+
+    def test_unknown_group_raises(self):
+        # a misspelled group would otherwise drop the aluffi route and pass
+        sc = parse_scenario(load_fixture("nodal_cubic_p2"))
+        with pytest.raises(ScenarioError, match=r"^formula: .*\['aluffl'\]"):
+            run_compute(sc, {"aluffl"})
+
+    @pytest.mark.parametrize("formulas,skipped", [
+        ((), True), (("all",), True), (("pp", "cor11"), True),
+        (("thm41",), False), (("cor11", "cor12"), False),
+    ])
+    def test_skipped_note_needs_a_selected_pp_formula(self, formulas, skipped):
+        # one member has Le data only, so the pp group cannot run
+        report = run_compute(load_scenario_file(LE_MEMBER), set(formulas), with_timing=False)
+        assert report.ok
+        note = "per-stratum formulas skipped: Le-only hypersurface present"
+        assert (note in report.sections[-1].notes) == skipped
 
 
 TRIPLE = ["virt", "csm", "milnor", "chi"]
