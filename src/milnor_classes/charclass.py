@@ -22,7 +22,7 @@ cotangent twist c(T*M (x) L) enters through its Chern roots ell - x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .chow import AmbientSpace, CycleClass, ProjSpace
 from .bundles import (
@@ -38,11 +38,13 @@ from .strata import StratifiedHypersurface, gamma_weights
 
 @dataclass(frozen=True)
 class ClassBundle3:
-    """The virtual, CSM and Milnor classes of one hypersurface."""
+    """The virtual, CSM and Milnor classes of one hypersurface, and its strata
+    when it has them (they do not enter equality)."""
 
     virt: CycleClass
     csm: CycleClass
     milnor: CycleClass
+    hyp: StratifiedHypersurface | None = field(default=None, compare=False)
 
     def definition_identity_holds(self) -> bool:
         """milnor = (-1)^(dim M - 1) (virt - csm), exactly."""
@@ -163,5 +165,6 @@ def class_triple(l: BundleClass, milnor: CycleClass,
 
 def hypersurface_classes(hyp: StratifiedHypersurface,
                          csm_override: CycleClass | None = None) -> ClassBundle3:
-    """Class triple of a stratified hypersurface, Milnor class by strata."""
-    return class_triple(hyp.line_bundle, milnor_pp(hyp), csm_override)
+    """Class triple of a stratified hypersurface, Milnor class by strata; the
+    strata ride along for the per-stratum intersection formulas."""
+    return replace(class_triple(hyp.line_bundle, milnor_pp(hyp), csm_override), hyp=hyp)

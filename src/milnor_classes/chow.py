@@ -83,8 +83,8 @@ class Generator:
 class AmbientSpace:
     """Common interface of the three supported ambient kinds."""
 
-    # subclasses provide: dimension, generators (tuple[Generator]),
-    # _zeta_relations (map generator index -> relation coeff map)
+    # subclasses provide: dimension, generators (tuple[Generator]), and
+    # _relation_keys when a generator is rewritten
 
     @property
     def dimension(self) -> int:
@@ -142,10 +142,7 @@ class AmbientSpace:
     def _relation_keys(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
         """Per rewrite slot: the key of its generator to the power cap + 1, and
         the (key, coefficient) terms of the relation that replaces it."""
-        places, place = self._places, self.codim_place
-        return {i: ((self.generators[i].cap + 1) * (places[i] + place),
-                    [(self.key_of(m), c) for m, c in rel.items()])
-                for i, rel in self._zeta_relations.items()}
+        return {}
 
     # -- product kernel -----------------------------------------------------
 
@@ -276,12 +273,6 @@ class AmbientSpace:
 
         return times_chern(self.one(), self.tangent_roots)
 
-    # -- normal form --------------------------------------------------------
-
-    @cached_property
-    def _zeta_relations(self) -> dict[int, dict[tuple[int, ...], int]]:
-        return {}
-
 
 @dataclass(frozen=True)
 class ProjSpace(AmbientSpace):
@@ -380,16 +371,16 @@ class ProjBundle(AmbientSpace):
         return self.base.generators + (Generator(name, self.rank - 1, rewrite=True),)
 
     @cached_property
-    def _zeta_relations(self) -> dict[int, dict[tuple[int, ...], int]]:
-        # inherit relations of nested bundle levels in the base, shifted by
-        # the extra z slot, then add this level's Grothendieck relation
-        rels = {
-            i: {m + (0,): c for m, c in rel.items()}
-            for i, rel in self.base._zeta_relations.items()
-        }
-        zpos = len(self.generators) - 1
-        rels[zpos] = {mono + (self.rank - sum(mono),): (-1) ** (sum(mono) - 1) * c
-                      for mono, c in self.chern.part(1, self.rank).coeffs.items()}
+    def _relation_keys(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
+        # the base levels' relations, each key times z's radix, then this
+        # level's z^r = sum_j (-1)^(j-1) c_j z^(r-j); z's key is 1 + codim_place
+        radix, z_key, r = self._bases[-1], 1 + self.codim_place, self.rank
+        rels = {i: (drop * radix, [(k * radix, c) for k, c in relation])
+                for i, (drop, relation) in self.base._relation_keys.items()}
+        place = self.base.codim_place
+        rels[len(self.generators) - 1] = (r * z_key, [
+            (k * radix + (r - k // place) * z_key, c if k // place % 2 else -c)
+            for k, c in self.chern.part(1, r).terms.items()])
         return rels
 
     def zeta(self) -> "CycleClass":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .examples import list_examples, run_example
 from .scenario import ROUTES, ScenarioError, load_scenario_file, run_compute
 from .verify import SUITES, run_verify
 
@@ -82,6 +81,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .examples import list_examples, run_example
+
     if args.run is None:
         for name in list_examples():
             print(name)

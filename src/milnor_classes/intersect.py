@@ -23,11 +23,16 @@ c((TM)^(+(r-1)))^(-1) is the product over the Chern roots of TM with
 multiplicities times -(r-1), expanded once per ambient and r
 (`_inv_tangent_power`).
 
+An intersection is one record per member: its class triple, which also
+carries its strata when it has them (`ClassBundle3.hyp`).  The stratum
+expansions read those strata through `IntersectionScenario.strata`, which
+rejects a member without them.
+
 FORMULAS registers them as thm41, cor11, cor12, pp_ais and pp_full.  Each
 hypersurface's Milnor class already comes from its strata, so pp_ais
 equals cor11 by construction.  All five agree exactly whenever each input
-triple satisfies the definition identity; cross_validate checks that
-agreement and renders a report.
+triple satisfies the definition identity; cross_validate returns each
+selected formula's class, and `agree` is the one test of that agreement.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .chow import AmbientSpace, CycleClass
 from .bundles import chern_roots, tangent_bundle, times_chern
@@ -46,22 +52,29 @@ from .strata import StratifiedHypersurface, gamma_weights
 @dataclass(frozen=True)
 class IntersectionScenario:
     ambient: AmbientSpace
-    hyps: tuple[StratifiedHypersurface, ...]
     classes: tuple[ClassBundle3, ...]
 
     def __post_init__(self) -> None:
-        if len(self.hyps) < 2:
+        if len(self.classes) < 2:
             raise ValueError(
-                f"intersection formulas need r >= 2 hypersurfaces, got {len(self.hyps)}")
-        if len(self.hyps) != len(self.classes):
-            raise ValueError("need one class triple per hypersurface")
-        for h in self.hyps:
-            if h.ambient != self.ambient:
-                raise ValueError(f"hypersurface {h.name} on a different ambient")
+                f"intersection formulas need r >= 2 hypersurfaces, got {len(self.classes)}")
+        for i, cb in enumerate(self.classes):
+            # identity first: ProjBundle equality recurses through the tower
+            if any(c.ambient is not self.ambient and c.ambient != self.ambient
+                   for c in (cb.virt, cb.csm, cb.milnor)):
+                raise ValueError(f"member {i} has a class on a different ambient")
 
     @property
     def r(self) -> int:
-        return len(self.hyps)
+        return len(self.classes)
+
+    def strata(self) -> tuple[StratifiedHypersurface, ...]:
+        """Every member's strata, for the per-stratum formulas."""
+        for i, cb in enumerate(self.classes):
+            if cb.hyp is None:
+                raise ValueError(f"member {i} has no strata; the per-stratum "
+                                 "formulas need them on every member")
+        return tuple(cb.hyp for cb in self.classes)
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +162,7 @@ def milnor_pp_ais(sc: IntersectionScenario) -> CycleClass:
     """Telescoped sum with each factor's Milnor class expanded into its strata."""
     return telescoped_sum([cb.virt for cb in sc.classes],
                           [cb.csm for cb in sc.classes],
-                          [milnor_pp(h) for h in sc.hyps])
+                          [milnor_pp(h) for h in sc.strata()])
 
 
 def milnor_pp_full(sc: IntersectionScenario) -> CycleClass:
@@ -165,8 +178,9 @@ def milnor_pp_full(sc: IntersectionScenario) -> CycleClass:
     n = ambient.dimension
     r = sc.r
 
+    hyps = sc.strata()
     per_hyp: list[list[tuple[int, int, CycleClass]]] = []
-    for idx, hyp in enumerate(sc.hyps):
+    for idx, hyp in enumerate(hyps):
         gammas = gamma_weights(hyp)
         open_name = hyp.open_stratum.name
         choices = []
@@ -197,7 +211,7 @@ def milnor_pp_full(sc: IntersectionScenario) -> CycleClass:
         by_pattern[pattern] = by_pattern.get(pattern, ambient.zero()) + product.scale(coeff)
     total = ambient.zero()
     for pattern, part in by_pattern.items():
-        roots = [root for eps, hyp in zip(pattern, sc.hyps) if not eps
+        roots = [root for eps, hyp in zip(pattern, hyps) if not eps
                  for root in chern_roots(hyp.line_bundle, -1)]
         total = total + times_chern(part, roots)
     prefactor_sign = -1 if (n * (r - 1)) % 2 else 1
@@ -213,51 +227,24 @@ FORMULAS = {
 }
 
 
-@dataclass
-class FormulaResult:
-    name: str
-    value: CycleClass
-
-
-@dataclass
-class CrossValidation:
-    """Outcome of running every applicable formula on one scenario."""
-
-    results: list[FormulaResult]
-    expected: CycleClass | None = None
-
-    @property
-    def agree(self) -> bool:
-        values = [r.value for r in self.results]
-        if self.expected is not None:
-            values.append(self.expected)
-        return all(v == values[0] for v in values)
-
-    @property
-    def value(self) -> CycleClass:
-        return self.results[0].value
-
-    def render_lines(self) -> list[str]:
-        lines = [f"{r.name}: {r.value.render()}" for r in self.results]
-        if self.expected is not None:
-            lines.append(f"expected: {self.expected.render()}")
-        lines.append(f"formulas-agree: {'yes' if self.agree else 'no'}")
-        return lines
-
-
 def cross_validate(sc: IntersectionScenario,
-                   expected: CycleClass | None = None,
-                   formulas: tuple[str, ...] | None = None) -> CrossValidation:
-    """Run the selected formulas and compare the outputs for exact equality.
+                   formulas: tuple[str, ...] | None = None) -> dict[str, CycleClass]:
+    """Each selected formula's class (all of FORMULAS by default), in order.
 
-    Disagreements are report content, not errors.  Callers that assemble
-    scenarios from partial data (Le-only hypersurfaces) restrict the
-    formula selection themselves.
+    Disagreements are report content, not errors (see `agree`).  Callers
+    that assemble scenarios from partial data (Le-only hypersurfaces)
+    restrict the formula selection themselves.
     """
     names = formulas if formulas is not None else tuple(FORMULAS)
-    out = CrossValidation(results=[], expected=expected)
+    out = {}
     for name in names:
         if name not in FORMULAS:
             raise ValueError(f"unknown formula {name!r}; choose from {sorted(FORMULAS)}")
-        out.results.append(FormulaResult(name, FORMULAS[name](sc)))
+        out[name] = FORMULAS[name](sc)
     return out
+
+
+def agree(values: Iterable[CycleClass]) -> bool:
+    """Whether the classes are all exactly equal."""
+    values = list(values)
+    return all(v == values[0] for v in values[1:])

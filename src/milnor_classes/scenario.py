@@ -33,11 +33,10 @@ from .charclass import (
     mu_class,
     segre_builtin,
 )
-from .intersect import FORMULAS, IntersectionScenario, cross_validate
+from .intersect import FORMULAS, IntersectionScenario, agree, cross_validate
 from .lecycles import le_to_milnor
 from .projbundle import GeneralCaseInput, make_bundle_ring, milnor_general
 from .strata import (
-    StratificationError,
     StratifiedHypersurface,
     Stratum,
     linear_closure,
@@ -195,7 +194,7 @@ class HypersurfaceSpec:
 
 @dataclass
 class IntersectionSpec:
-    names: list[str]
+    members: list[HypersurfaceSpec]          # the named hypersurfaces, in order
     expected: CycleClass | None
     support: list[CycleClass] | None
 
@@ -296,12 +295,13 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
 
 
 def _parse_intersection(ambient: AmbientSpace, block: Any,
-                        known: set[str]) -> IntersectionSpec:
+                        specs: list[HypersurfaceSpec]) -> IntersectionSpec:
     _keyed(block, ("hypersurfaces", "expected", "support"), "intersection", "field")
     names = _typed(_require(block, "hypersurfaces", "intersection"), list,
                    "intersection.hypersurfaces")
+    by_name = {s.name: s for s in specs}
     for j, ref in enumerate(names):
-        if _typed(ref, str, f"intersection.hypersurfaces[{j}]") not in known:
+        if _typed(ref, str, f"intersection.hypersurfaces[{j}]") not in by_name:
             raise ScenarioError(f"intersection.hypersurfaces[{j}]",
                                 f"unknown hypersurface {ref!r}")
         if ref in names[:j]:  # X cap X is not a transversal intersection
@@ -316,7 +316,7 @@ def _parse_intersection(ambient: AmbientSpace, block: Any,
     if support is not None:
         support = [_parse_class(ambient, text, f"intersection.support[{j}]") for j, text
                    in enumerate(_typed(support, list, "intersection.support"))]
-    return IntersectionSpec(names, expected, support)
+    return IntersectionSpec([by_name[ref] for ref in names], expected, support)
 
 
 def _parse_general_case(block: Any) -> GeneralCaseSpec:
@@ -360,7 +360,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"hypersurfaces[{i}].name", f"duplicate name {spec.name!r}")
         hyps.append(spec)
     intersection = (None if data.get("intersection") is None else
-                    _parse_intersection(ambient, data["intersection"], {h.name for h in hyps}))
+                    _parse_intersection(ambient, data["intersection"], hyps))
     general = (None if data.get("general_case") is None else
                _parse_general_case(data["general_case"]))
 
@@ -527,45 +527,28 @@ def check_formulas(sc: Scenario, formulas: set[str]) -> None:
 
 def intersection_formulas(sc: Scenario, formulas: set[str]) -> tuple[str, ...]:
     """The intersection formulas a run computes, in report order."""
-    by_name = {s.name: s for s in sc.hypersurfaces}
-    members = [by_name[n] for n in sc.intersection.names]
-    return tuple(f for f in FORMULAS if runs(f, formulas, members))
+    return tuple(f for f in FORMULAS if runs(f, formulas, sc.intersection.members))
 
 
 def _intersection_section(sc: Scenario, triple: Callable[[HypersurfaceSpec], ClassBundle3],
                           formulas: set[str]) -> ReportSection:
     block = sc.intersection
-    by_name = {s.name: s for s in sc.hypersurfaces}
-    chosen = [by_name[n] for n in block.names]
     sec = ReportSection(kind="intersection",
-                        title="intersection " + " + ".join(block.names))
-    hyps = []
-    triples = []
-    for spec in chosen:
-        if spec.hyp is None:
-            # a bare regular stratum lets Le-only hypersurfaces join the
-            # class-level formulas; strata formulas are skipped below
-            hyps.append(StratifiedHypersurface(
-                spec.name, sc.ambient, spec.line_bundle,
-                (Stratum("reg", dim=sc.ambient.dimension - 1, milnor_fiber_chi=1,
-                         closure_class=spec.line_bundle.c1()),)))
-        else:
-            hyps.append(spec.hyp)
-        triples.append(triple(spec))
-    scenario_obj = IntersectionScenario(sc.ambient, tuple(hyps), tuple(triples))
+                        title="intersection " + " + ".join(s.name for s in block.members))
     # a selected formula whose data some member lacks: the per-stratum ones
-    if any(runs(f, formulas, []) and not runs(f, formulas, chosen) for f in FORMULAS):
+    if any(runs(f, formulas, []) and not runs(f, formulas, block.members) for f in FORMULAS):
         sec.notes.append("per-stratum formulas skipped: Le-only hypersurface present")
-    cv = cross_validate(scenario_obj, expected=block.expected,
-                        formulas=intersection_formulas(sc, formulas))
-    for result in cv.results:
-        sec.results[result.name] = result.value.render()
+    values = cross_validate(IntersectionScenario(sc.ambient, tuple(map(triple, block.members))),
+                            intersection_formulas(sc, formulas))
+    sec.results.update((name, value.render()) for name, value in values.items())
+    checked = list(values.values())
     if block.expected is not None:
         sec.results["expected"] = block.expected.render()
-    sec.verdicts["formulas-agree"] = cv.agree
-    if block.support is not None and cv.results:
+        checked.append(block.expected)
+    sec.verdicts["formulas-agree"] = agree(checked)
+    if block.support is not None and values:
         allowed = {key for cls in block.support for key in cls.terms}
-        sec.verdicts["support"] = cv.results[0].value.terms.keys() <= allowed
+        sec.verdicts["support"] = checked[0].terms.keys() <= allowed
     return sec
 
 

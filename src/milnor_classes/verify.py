@@ -34,7 +34,7 @@ from .charclass import (
     segre_builtin,
     virtual_class,
 )
-from .intersect import IntersectionScenario, cross_validate, milnor_cor11, selector_terms
+from .intersect import IntersectionScenario, agree, cross_validate, milnor_cor11, selector_terms
 from .lecycles import le_to_milnor, milnor_to_le
 from .projbundle import (
     GeneralCaseInput,
@@ -108,9 +108,8 @@ def random_hypersurface(rng: random.Random, ambient, name="X"):
 def random_scenario(rng: random.Random):
     ambient = ProjSpace(rng.choice([2, 3]))
     r = rng.choice([2, 2, 3])
-    hyps = tuple(random_hypersurface(rng, ambient, f"X{i}") for i in range(r))
-    return IntersectionScenario(ambient, hyps,
-                                tuple(hypersurface_classes(h) for h in hyps))
+    return IntersectionScenario(ambient, tuple(
+        hypersurface_classes(random_hypersurface(rng, ambient, f"X{i}")) for i in range(r)))
 
 
 # -- properties ----------------------------------------------------------------
@@ -288,31 +287,28 @@ def _le_isolated(rng):
 
 def _le_cor_equality(rng):
     sc = random_scenario(rng)
-    via_le = tuple(
-        class_triple(h.line_bundle, le_to_milnor(milnor_to_le(cb.milnor, h.line_bundle),
-                                                 h.line_bundle), cb.csm)
-        for h, cb in zip(sc.hyps, sc.classes))
-    assert (milnor_cor11(IntersectionScenario(sc.ambient, sc.hyps, via_le))
-            == milnor_cor11(sc))
+    via_le = []
+    for cb in sc.classes:
+        l = cb.hyp.line_bundle
+        via_le.append(class_triple(l, le_to_milnor(milnor_to_le(cb.milnor, l), l), cb.csm))
+    assert milnor_cor11(IntersectionScenario(sc.ambient, tuple(via_le))) == milnor_cor11(sc)
 
 
 def _intersect_agreement(rng):
-    cv = cross_validate(random_scenario(rng))
-    assert cv.agree, "\n".join(cv.render_lines())
+    values = cross_validate(random_scenario(rng))
+    assert agree(values.values()), "; ".join(f"{k}: {v.render()}" for k, v in values.items())
 
 
 def _intersect_smooth_vanishing(rng):
     ambient = ProjSpace(rng.choice([2, 3]))
-    hyps = []
+    classes = []
     for i in range(rng.choice([2, 3])):
         lb = line_bundle(ambient, rng.randint(1, 3))
-        hyps.append(StratifiedHypersurface(f"X{i}", ambient, lb, (
+        classes.append(hypersurface_classes(StratifiedHypersurface(f"X{i}", ambient, lb, (
             Stratum("reg", dim=ambient.dimension - 1, milnor_fiber_chi=1,
-                    closure_class=lb.c1()),)))
-    sc = IntersectionScenario(ambient, tuple(hyps),
-                              tuple(hypersurface_classes(h) for h in hyps))
-    cv = cross_validate(sc)
-    assert cv.agree and cv.value.is_zero()
+                    closure_class=lb.c1()),))))
+    values = list(cross_validate(IntersectionScenario(ambient, tuple(classes))).values())
+    assert agree(values) and values[0].is_zero()
 
 
 def _intersect_sign_coherence(rng):
@@ -338,21 +334,21 @@ def _intersect_gamma_corruption_detected(rng):
     plane_lb = line_bundle(ambient, 1)
     plane = StratifiedHypersurface("plane", ambient, plane_lb, (
         Stratum("reg", dim=2, milnor_fiber_chi=1, closure_class=plane_lb.c1()),))
-    sc = IntersectionScenario(ambient, (corrupted, plane),
-                              (cb_bad, hypersurface_classes(plane)))
-    assert not cross_validate(sc).agree
+    sc = IntersectionScenario(ambient, (cb_bad, hypersurface_classes(plane)))
+    assert not agree(cross_validate(sc).values())
 
 
 class CorruptedBundle(ProjBundle):
     """Negative-control P(E^v) ring: the c1 term of its z-relation has the wrong sign."""
 
     @cached_property
-    def _zeta_relations(self) -> dict[int, dict[tuple[int, ...], int]]:
-        rels = dict(super()._zeta_relations)
-        zpos = len(self.generators) - 1
-        # the c1 term is the one carrying z^(r-1)
-        rels[zpos] = {m: -c if m[zpos] == self.rank - 1 else c
-                      for m, c in rels[zpos].items()}
+    def _relation_keys(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
+        rels = dict(super()._relation_keys)
+        zpos, radix = len(self.generators) - 1, self._bases[-1]
+        drop, relation = rels[zpos]
+        # the c1 term is the one whose z digit is r - 1
+        rels[zpos] = (drop, [(k, -c if k % radix == self.rank - 1 else c)
+                             for k, c in relation])
         return rels
 
 

@@ -131,8 +131,8 @@ def test_le_round_trip_and_intersection_equality():
                          le_to_milnor(milnor_to_le(cb.milnor, h_.line_bundle),
                                       h_.line_bundle), cb.csm)
             for h_, cb in zip(hyps, triples))
-        sc = IntersectionScenario(P3, hyps, tuple(triples))
-        assert milnor_cor11(IntersectionScenario(P3, hyps, via_le)) == milnor_cor11(sc)
+        sc = IntersectionScenario(P3, tuple(triples))
+        assert milnor_cor11(IntersectionScenario(P3, via_le)) == milnor_cor11(sc)
     _passed("le-round-trip-and-corollary-equality")
 
 

@@ -4,9 +4,10 @@ import pytest
 
 from milnor_classes.chow import ProjSpace, parse_class
 from milnor_classes.bundles import direct_sum, line_bundle, top_chern
-from milnor_classes.charclass import hypersurface_classes, virtual_class
+from milnor_classes.charclass import class_triple, hypersurface_classes, virtual_class
 from milnor_classes.intersect import (
     IntersectionScenario,
+    agree,
     cross_validate,
     milnor_cor11,
     milnor_cor12,
@@ -42,8 +43,7 @@ def make_hyp(name, ambient, degree, singular=()):
 
 def scenario(*hyps):
     ambient = hyps[0].ambient
-    return IntersectionScenario(ambient, tuple(hyps),
-                                tuple(hypersurface_classes(h) for h in hyps))
+    return IntersectionScenario(ambient, tuple(hypersurface_classes(h) for h in hyps))
 
 
 TWO_PLANES = make_hyp("two_planes", P3, 2,
@@ -82,18 +82,15 @@ class TestFixture:
         assert set(result.coeffs) <= {(3,)}  # point classes only
 
     def test_vertex_avoiding_plane(self):
-        sc = scenario(QUADRIC_CONE, PLANE)
-        cv = cross_validate(sc)
-        assert cv.agree
-        assert cv.value.is_zero()
+        values = list(cross_validate(scenario(QUADRIC_CONE, PLANE)).values())
+        assert agree(values)
+        assert values[0].is_zero()
 
     def test_smooth_scenarios_vanish(self):
-        sc = scenario(PLANE, make_hyp("quadric", P3, 2))
-        cv = cross_validate(sc)
-        assert cv.agree and cv.value.is_zero()
-        sc3 = scenario(PLANE, PLANE, make_hyp("cubic", P3, 3))
-        cv3 = cross_validate(sc3)
-        assert cv3.agree and cv3.value.is_zero()
+        values = list(cross_validate(scenario(PLANE, make_hyp("quadric", P3, 2))).values())
+        assert agree(values) and values[0].is_zero()
+        values3 = list(cross_validate(scenario(PLANE, PLANE, make_hyp("cubic", P3, 3))).values())
+        assert agree(values3) and values3[0].is_zero()
 
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError, match="r >= 2"):
@@ -151,9 +148,9 @@ class TestNonzeroTripleIntersection:
         assert sc.classes[0].milnor == parse_class(p4, "h^4 + h^3 + h^2")
         csm_oracle = parse_class(p4, "5*h^4 + 9*h^3 + 7*h^2 + 2*h")
         assert sc.classes[0].csm == csm_oracle
-        cv = cross_validate(sc)
-        assert cv.agree
-        assert cv.value == parse_class(p4, "4*h^4")
+        values = list(cross_validate(sc).values())
+        assert agree(values)
+        assert values[0] == parse_class(p4, "4*h^4")
 
 
 class TestRandomizedAgreement:
@@ -161,10 +158,10 @@ class TestRandomizedAgreement:
         run_property("intersect", "four-formula-agreement")
 
     def test_report_rendering(self):
-        cv = cross_validate(scenario(TWO_PLANES, PLANE))
-        lines = cv.render_lines()
-        assert lines[-1] == "formulas-agree: yes"
-        assert any(line.startswith("thm41: h^3") for line in lines)
+        values = cross_validate(scenario(TWO_PLANES, PLANE))
+        assert list(values) == ["thm41", "cor11", "cor12", "pp_ais", "pp_full"]
+        assert values["thm41"].render() == "h^3"
+        assert agree(values.values())
 
 
 class TestNegativeControl:
@@ -186,17 +183,46 @@ class TestNegativeControl:
         csm_oracle = parse_class(P3, "4*h^3 + 5*h^2 + 2*h")
         cb_bad = hypersurface_classes(corrupted, csm_override=csm_oracle)
         assert not cb_bad.definition_identity_holds()
-        sc = IntersectionScenario(P3, (corrupted, PLANE),
-                                  (cb_bad, hypersurface_classes(PLANE)))
-        cv = cross_validate(sc)
-        assert not cv.agree
-        rendered = "\n".join(cv.render_lines())
-        assert "formulas-agree: no" in rendered
+        sc = IntersectionScenario(P3, (cb_bad, hypersurface_classes(PLANE)))
+        assert not agree(cross_validate(sc).values())
 
     def test_clean_fixture_passes(self):
         cb = hypersurface_classes(TWO_PLANES,
                                   csm_override=parse_class(P3, "4*h^3 + 5*h^2 + 2*h"))
         assert cb.definition_identity_holds()
-        sc = IntersectionScenario(P3, (TWO_PLANES, PLANE),
-                                  (cb, hypersurface_classes(PLANE)))
-        assert cross_validate(sc).agree
+        sc = IntersectionScenario(P3, (cb, hypersurface_classes(PLANE)))
+        assert agree(cross_validate(sc).values())
+
+
+class TestMemberRecord:
+    """An intersection is one class triple per member; the strata ride along."""
+
+    def test_strata_ride_along_outside_equality(self):
+        cb = hypersurface_classes(TWO_PLANES)
+        bare = class_triple(TWO_PLANES.line_bundle, cb.milnor)
+        assert cb.hyp is TWO_PLANES and bare.hyp is None
+        assert bare == cb
+
+    def test_member_without_strata_rejected_by_per_stratum_formulas(self):
+        bare = class_triple(TWO_PLANES.line_bundle, hypersurface_classes(TWO_PLANES).milnor)
+        sc = IntersectionScenario(P3, (hypersurface_classes(PLANE), bare))
+        assert milnor_cor11(sc) == P3.point_class()
+        for formula in (milnor_pp_ais, milnor_pp_full):
+            with pytest.raises(ValueError, match="member 1 has no strata"):
+                formula(sc)
+        with pytest.raises(ValueError, match="member 1 has no strata"):
+            cross_validate(sc)
+
+    def test_member_on_another_ambient_rejected(self):
+        other = hypersurface_classes(make_hyp("line", P2, 1))
+        with pytest.raises(ValueError, match="member 1 has a class on a different ambient"):
+            IntersectionScenario(P3, (hypersurface_classes(PLANE), other))
+        mixed = class_triple(PLANE.line_bundle, P3.zero(), csm_oracle=P2.one())
+        with pytest.raises(ValueError, match="member 0 has a class on a different ambient"):
+            IntersectionScenario(P3, (mixed, hypersurface_classes(PLANE)))
+
+    def test_agree_counts_a_zero_class(self):
+        # the zero class is falsy; it still takes part in the comparison
+        assert agree([P3.zero(), P3.zero()])
+        assert not agree([P3.point_class(), P3.zero()])
+        assert not agree([P3.zero(), P3.point_class()])

@@ -134,14 +134,14 @@ class TestIntersectionFromLe:
         cbs = tuple(hypersurface_classes(h) for h in hyps)
         via_le = tuple(le_triple(h, milnor_to_le(cb.milnor, h.line_bundle), cb.csm)
                        for h, cb in zip(hyps, cbs))
-        result = milnor_cor11(IntersectionScenario(P3, hyps, via_le))
+        result = milnor_cor11(IntersectionScenario(P3, via_le))
         assert result == P3.point_class()
-        assert result == milnor_cor11(IntersectionScenario(P3, hyps, cbs))
+        assert result == milnor_cor11(IntersectionScenario(P3, cbs))
 
     def test_all_smooth(self):
         hyps = (plane_hyp(), plane_hyp())
         via_le = tuple(le_triple(h, P3.zero()) for h in hyps)
-        assert milnor_cor11(IntersectionScenario(P3, hyps, via_le)).is_zero()
+        assert milnor_cor11(IntersectionScenario(P3, via_le)).is_zero()
 
     def test_single_hypersurface_degenerates(self):
         # one hypersurface: the Le-derived triple is the strata triple

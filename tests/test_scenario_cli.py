@@ -595,6 +595,15 @@ class TestRunCompute:
         note = "per-stratum formulas skipped: Le-only hypersurface present"
         assert (note in report.sections[-1].notes) == skipped
 
+    def test_le_only_member_report(self):
+        # the Le-only member joins the class-level formulas as its class triple
+        section = run_compute(load_scenario_file(LE_MEMBER), with_timing=False).sections[-1]
+        assert section.title == "intersection two_planes + plane"
+        assert section.results == {"thm41": "h^3", "cor11": "h^3", "cor12": "h^3",
+                                   "expected": "h^3"}
+        assert section.verdicts == {"formulas-agree": True, "support": True}
+        assert section.notes == ["per-stratum formulas skipped: Le-only hypersurface present"]
+
 
 TRIPLE = ["virt", "csm", "milnor", "chi"]
 EVERY_FORMULA = ["thm41", "cor11", "cor12", "pp_ais", "pp_full"]
