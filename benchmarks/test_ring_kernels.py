@@ -35,11 +35,12 @@ from milnor_classes.bundles import (
     chern_roots,
     direct_sum,
     line_bundle,
+    line_twist,
     times_chern,
     trivial_bundle,
     twist_chern,
 )
-from milnor_classes.charclass import aluffi_tensor, virtual_class
+from milnor_classes.charclass import virtual_class
 from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
 from milnor_classes.intersect import _inv_tangent_power
 from milnor_classes.lecycles import le_to_milnor, milnor_to_le
@@ -142,9 +143,10 @@ def test_times_chern_rootless(benchmark):
     assert divided == tangent * f.chern.inverse()
 
 
-def test_aluffi_tensor(benchmark, case):
+def test_aluffi_twist(benchmark, case):
+    # Aluffi's a (x) L is the line twist with s = 0
     tangent, l = case
-    twisted = benchmark(aluffi_tensor, tangent, l)
+    twisted = benchmark(line_twist, tangent, l.c1(), 0)
     assert twisted.component(0) == tangent.component(0)
 
 

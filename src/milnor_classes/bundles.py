@@ -20,7 +20,6 @@ through the same product and the same division, `chow.divide`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
@@ -76,12 +75,14 @@ class BundleClass:
             raise ValueError(f"negative rank: {self.rank}")
         if self.chern.ambient != self.ambient:
             raise AmbientMismatchError("Chern class lives on a different ambient")
-        if self._pieces[0] != self.ambient.one():
+        if self.chern.part(0, 0) != self.ambient.one():
             raise ValueError("total Chern class must start with 1")
-        for k in range(self.rank + 1, self.ambient.dimension + 1):
-            if self._pieces[k]:
-                raise ValueError(
-                    f"Chern class has a nonzero part in codimension {k} > rank {self.rank}")
+        above = self.chern.part(self.rank + 1, self.ambient.dimension)
+        if above:
+            k = next(k for k in range(self.rank + 1, self.ambient.dimension + 1)
+                     if above.component(k))
+            raise ValueError(
+                f"Chern class has a nonzero part in codimension {k} > rank {self.rank}")
         if self.roots is not None:
             for ell, _ in self.roots:
                 if ell.ambient is not self.ambient and ell.ambient != self.ambient:
@@ -91,17 +92,11 @@ class BundleClass:
             if sum(map(itemgetter(1), self.roots)) != self.rank:
                 raise ValueError(f"root multiplicities do not sum to the rank {self.rank}")
 
-    @cached_property
-    def _pieces(self) -> list[CycleClass]:
-        return [part for _, part in self.chern.components()]
-
     def c(self, k: int) -> CycleClass:
         """The k-th Chern class; zero beyond the ambient dimension."""
         if k < 0:
             raise ValueError(f"negative Chern class index {k}")
-        if k > self.ambient.dimension:
-            return self.ambient.zero()
-        return self._pieces[k]
+        return self.chern.part(k, k)
 
     def c1(self) -> CycleClass:
         return self.c(1)

@@ -48,8 +48,7 @@ class ClassBundle3:
 
     def definition_identity_holds(self) -> bool:
         """milnor = (-1)^(dim M - 1) (virt - csm), exactly."""
-        n = self.virt.ambient.dimension
-        return self.csm == csm_from_milnor(self.virt, self.milnor, n, 1)
+        return self.csm == csm_from_milnor(self.virt, self.milnor)
 
 
 def virtual_class(ambient: AmbientSpace, e: BundleClass, x_class: CycleClass) -> CycleClass:
@@ -72,23 +71,13 @@ def milnor_pp(hyp: StratifiedHypersurface) -> CycleClass:
     return times_chern(total, chern_roots(hyp.line_bundle, -1))
 
 
-def csm_from_milnor(virt: CycleClass, milnor: CycleClass,
-                    dim_m: int, codim: int) -> CycleClass:
-    """Rearranged definition: csm = virt - (-1)^(dim_m - codim) milnor."""
-    sign = -1 if (dim_m - codim) % 2 else 1
+def csm_from_milnor(virt: CycleClass, milnor: CycleClass) -> CycleClass:
+    """Rearranged definition: csm = virt - (-1)^(dim M - 1) milnor."""
+    sign = -1 if (virt.ambient.dimension - 1) % 2 else 1
     return virt - milnor.scale(sign)
 
 
 # -- Aluffi operations -------------------------------------------------------
-
-
-def aluffi_tensor(a: CycleClass, l: BundleClass) -> CycleClass:
-    """a (x) L = sum_j a^(j) c(L)^(-j), the j-th piece twisted j times (ambient grading)."""
-    if l.rank != 1:
-        raise ValueError("aluffi_tensor twists by a line bundle")
-    if l.ambient != a.ambient:
-        raise ValueError("class and line bundle live on different ambients")
-    return line_twist(a, l.c1(), 0)
 
 
 def segre_builtin(ambient: AmbientSpace, center: str, arg: int) -> CycleClass:
@@ -159,7 +148,7 @@ def class_triple(l: BundleClass, milnor: CycleClass,
     if csm_oracle is not None:
         csm = csm_oracle
     else:
-        csm = csm_from_milnor(virt, milnor, ambient.dimension, 1)
+        csm = csm_from_milnor(virt, milnor)
     return ClassBundle3(virt=virt, csm=csm, milnor=milnor)
 
 

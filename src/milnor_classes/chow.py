@@ -50,6 +50,7 @@ split.
 
 Coefficients are Python ints (arbitrary precision); any inversion of a
 class whose degree-0 part is not a unit raises instead of rounding.
+`int_text` and `parse_class` write and read them exactly at any size.
 """
 
 from __future__ import annotations
@@ -467,6 +468,24 @@ class ProjBundle(AmbientSpace):
         return f"ProjBundle({self.base!r}, rank={self.rank})"
 
 
+def int_text(n: int) -> str:
+    """Exact decimal text of n, past the interpreter's int-to-str digit limit too."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        from decimal import Decimal
+        return str(Decimal(n))
+
+
+def _text_int(digits: str) -> int:
+    """The inverse of `int_text` on a run of decimal digits."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        from decimal import Decimal
+        return int(Decimal(digits))
+
+
 def add_products(acc: dict[int, int], left: Iterable[tuple[int, int]],
                  right: Collection[tuple[int, int]], bound: int) -> None:
     """acc[k1 + k2] += c1 c2 over the (key, coefficient) terms of left and right.
@@ -657,14 +676,6 @@ class CycleClass:
                 f"codimension {codim} out of range 0..{self.ambient.dimension}")
         return self.part(codim, codim)
 
-    def components(self) -> list[tuple[int, "CycleClass"]]:
-        """Every homogeneous piece (codim, class), codim 0..dimension, in one pass."""
-        place = self.ambient.codim_place
-        buckets: list[dict[int, int]] = [{} for _ in range(self.ambient.dimension + 1)]
-        for k, c in self.terms.items():
-            buckets[k // place][k] = c
-        return [(k, CycleClass(self.ambient, b)) for k, b in enumerate(buckets)]
-
     def degree(self) -> int:
         """Integral over the ambient: the coefficient of the point class."""
         return self.terms.get(self.ambient.key_of(self.ambient.top_monomial), 0)
@@ -688,7 +699,7 @@ class CycleClass:
                     factors.append(f"{name}^{e}")
             mag = abs(coeff)
             if mag != 1 or not factors:
-                factors.insert(0, str(mag))
+                factors.insert(0, int_text(mag))
             term = "*".join(factors)
             if not pieces:
                 pieces.append(term if coeff > 0 else f"-{term}")
@@ -728,7 +739,7 @@ def parse_class(ambient: AmbientSpace, text: str) -> CycleClass:
         m = _TERM_RE.match(chunk)
         if not m or (m.group("coeff") is None and not m.group("mono")):
             raise ValueError(f"cannot parse term {chunk!r} in class text {text!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
+        coeff = _text_int(m.group("coeff")) if m.group("coeff") else 1
         expo = [0] * len(names)
         mono = m.group("mono")
         for factor in filter(None, mono.split("*")):

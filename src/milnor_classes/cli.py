@@ -52,9 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report, machine: bool, no_timing: bool) -> None:
-    if no_timing:
-        report.timing_ms = None
+def _emit(report, machine: bool) -> None:
     sys.stdout.write(report.to_json() if machine else report.to_text())
 
 
@@ -68,7 +66,7 @@ def cmd_compute(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args.machine, args.no_timing)
+    _emit(report, args.machine)
     if args.strict and not report.ok:
         return 1
     return 0
@@ -81,18 +79,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    from .examples import list_examples, run_example
+    from .examples import fixture_path, list_examples
 
     if args.run is None:
         for name in list_examples():
             print(name)
         return 0
     try:
-        report = run_example(args.run)
+        path = fixture_path(args.run)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    _emit(report, args.machine, args.no_timing)
+    _emit(run_compute(load_scenario_file(path), with_timing=not args.no_timing), args.machine)
     return 0
 
 

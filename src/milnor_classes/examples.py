@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .scenario import Scenario, ScenarioReport, parse_scenario, run_compute
-
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
@@ -58,16 +56,12 @@ def list_examples() -> list[str]:
     return sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
 
 
-def load_fixture(name: str) -> dict:
+def fixture_path(name: str) -> Path:
     names = list_examples()
     if name not in names:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names)}")
-    return json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+    return FIXTURE_DIR / f"{name}.json"
 
 
-def fixture_scenario(name: str) -> Scenario:
-    return parse_scenario(load_fixture(name), name=name)
-
-
-def run_example(name: str) -> ScenarioReport:
-    return run_compute(fixture_scenario(name))
+def load_fixture(name: str) -> dict:
+    return json.loads(fixture_path(name).read_text())

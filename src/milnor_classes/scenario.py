@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Collection
 
-from .chow import AmbientSpace, CycleClass, MultiProj, ProjSpace, parse_class
+from .chow import AmbientSpace, CycleClass, MultiProj, ProjSpace, int_text, parse_class
 from .bundles import BundleClass, direct_sum, line_bundle, trivial_bundle
 from .charclass import (
     ClassBundle3,
@@ -254,8 +254,7 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
         le = ambient.zero()
         for k, v in _typed(hdata["le_cycles"], dict, f"{fieldpath}.le_cycles").items():
             kpath = f"{fieldpath}.le_cycles[{k}]"
-            if not (isinstance(k, str) and k.isascii() and k.isdigit()
-                    and k == str(int(k)) and int(k) <= n):
+            if k not in map(str, range(n + 1)):  # no int(k): k may have any length
                 raise ScenarioError(kpath, f"key must be an integer in 0..{n}")
             lam = _parse_class(ambient, v, kpath)
             if lam != lam.component(n - int(k)):
@@ -471,7 +470,7 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
     sec.results["virt"] = cb.virt.render()
     sec.results["csm"] = cb.csm.render()
     sec.results["milnor"] = cb.milnor.render()
-    sec.results["chi"] = str(cb.csm.degree())
+    sec.results["chi"] = int_text(cb.csm.degree())
     if spec.oracle_csm is not None:
         # meaningful only against an independently supplied CSM class; the
         # derived class satisfies the identity by construction
@@ -491,7 +490,7 @@ def _hypersurface_section(spec: HypersurfaceSpec, cb: ClassBundle3,
     for key, want in spec.expected.items():
         # results hold canonical text, which is unique per class
         got = sec.results.get(key)
-        sec.verdicts[f"expected-{key}"] = got == (str(want) if key == "chi" else want.render())
+        sec.verdicts[f"expected-{key}"] = got == (int_text(want) if key == "chi" else want.render())
         if got is None:
             sec.notes.append(f"expected key {key!r} was not computed")
     return sec

@@ -3,7 +3,7 @@
 A stratum records the class and CSM class of its closure, its dimension,
 and the Euler characteristic of the local Milnor fibre along it.  From
 these the inclusion-exclusion weights of the Parusinski-Pragacz formula
-and stratified Euler characteristics are computed.
+are computed.
 
 CSM classes of closures are inputs.  Builtin constructors cover the two
 closure shapes every fixture needs: finite reduced point sets and linearly
@@ -124,12 +124,12 @@ class StratifiedHypersurface:
             if s.closure_class.ambient != self.ambient:
                 raise StratificationError(
                     f"{self.name}: closure class of {s.name} on wrong ambient")
-            expected_codim = n - s.dim
-            for k, part in s.closure_class.components():
-                if k != expected_codim and not part.is_zero():
-                    raise StratificationError(
-                        f"{self.name}: closure class of {s.name} has a part in "
-                        f"codimension {k}, expected pure codimension {expected_codim}")
+            closure, codim = s.closure_class, n - s.dim
+            if closure.part(codim, codim) != closure:
+                k = next(k for k in range(n + 1) if k != codim and closure.component(k))
+                raise StratificationError(
+                    f"{self.name}: closure class of {s.name} has a part in "
+                    f"codimension {k}, expected pure codimension {codim}")
             if s.name != open_stratum.name and s.csm_closure is None:
                 raise StratificationError(
                     f"{self.name}: singular stratum {s.name} needs csm_closure data")
@@ -164,29 +164,3 @@ def gamma_weights(hyp: StratifiedHypersurface) -> dict[str, int]:
     for s in sorted(hyp.strata, key=lambda s: -s.dim):
         gammas[s.name] = mu_weight(s, hyp) - sum(gammas[o] for o in s.contained_in)
     return gammas
-
-
-def open_chi(strata: tuple[Stratum, ...]) -> dict[str, int]:
-    """Euler characteristics of the open strata, from those of the closures.
-
-    chi(S) = chi(closure S) - sum of chi(S') over strata S' in the boundary
-    of S; every stratum must carry csm_closure data (its degree is chi).
-    """
-    below: dict[str, list[str]] = {s.name: [] for s in strata}
-    for s in strata:
-        for above in s.contained_in:
-            below[above].append(s.name)
-    chis: dict[str, int] = {}
-    for s in sorted(strata, key=lambda s: s.dim):
-        if s.csm_closure is None:
-            raise StratificationError(
-                f"stratum {s.name} has no csm_closure; cannot take chi")
-        chis[s.name] = s.csm_closure.degree() - sum(chis[b] for b in below[s.name])
-    return chis
-
-
-def stratified_chi(weighted_strata: list[tuple[int, Stratum]]) -> int:
-    """Integral of a constructible function: sum of weight * chi(open stratum)."""
-    strata = tuple(s for _, s in weighted_strata)
-    chis = open_chi(strata)
-    return sum(w * chis[s.name] for w, s in weighted_strata)

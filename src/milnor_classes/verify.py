@@ -352,11 +352,6 @@ class CorruptedBundle(ProjBundle):
         return rels
 
 
-def corrupted_bundle_ring(base, e) -> CorruptedBundle:
-    """Negative-control ring with one sign of the zeta-relation flipped."""
-    return CorruptedBundle(base, e.rank, e.chern)
-
-
 def _pb_random_ring(rng):
     base = ProjSpace(rng.choice([1, 2]))
     rank = rng.randint(1, 3)
@@ -384,7 +379,7 @@ def _pb_tangent_identities(rng):
     ring, e = _pb_random_ring(rng)
     assert verify_tangent_identities(ring).ok
     if e.rank >= 2 and not e.c(1).is_zero():
-        bad = corrupted_bundle_ring(ring.base, e)
+        bad = CorruptedBundle(ring.base, e.rank, e.chern)
         assert not verify_tangent_identities(bad).ok
 
 

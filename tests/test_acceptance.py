@@ -17,7 +17,7 @@ from milnor_classes.charclass import (
     segre_builtin,
     virtual_class,
 )
-from milnor_classes.examples import fixture_scenario, run_example
+from milnor_classes.examples import fixture_path
 from milnor_classes.intersect import IntersectionScenario, milnor_cor11
 from milnor_classes.lecycles import le_to_milnor, milnor_to_le
 from milnor_classes.projbundle import (
@@ -28,8 +28,8 @@ from milnor_classes.projbundle import (
     milnor_general,
     verify_tangent_identities,
 )
-from milnor_classes.scenario import run_compute
-from milnor_classes.verify import corrupted_bundle_ring, run_suite
+from milnor_classes.scenario import load_scenario_file, run_compute
+from milnor_classes.verify import CorruptedBundle, run_suite
 from test_verify_suites import run_property
 
 P2 = ProjSpace(2)
@@ -42,7 +42,7 @@ def _passed(name):
 
 def _hyp(name):
     """Class triple of the single hypersurface of a builtin fixture."""
-    sc = fixture_scenario(name)
+    sc = load_scenario_file(fixture_path(name))
     from milnor_classes.scenario import _hyp_class_triple
     return sc.hypersurfaces[0], _hyp_class_triple(sc.hypersurfaces[0])
 
@@ -88,7 +88,7 @@ def test_two_planes_p3():
 
 
 def test_intersection_two_planes_cap_plane():
-    report = run_compute(fixture_scenario("two_planes_cap_plane_p3"))
+    report = run_compute(load_scenario_file(fixture_path("two_planes_cap_plane_p3")))
     inter = next(s for s in report.sections if s.kind == "intersection")
     for formula in ("thm41", "cor11", "cor12", "pp_ais", "pp_full"):
         assert inter.results[formula] == "h^3"
@@ -102,7 +102,7 @@ def test_intersection_two_planes_cap_plane():
 
 
 def test_quadric_cone_cap_vertex_avoiding_plane():
-    report = run_compute(fixture_scenario("quadric_cone_cap_plane_p3"))
+    report = run_compute(load_scenario_file(fixture_path("quadric_cone_cap_plane_p3")))
     inter = next(s for s in report.sections if s.kind == "intersection")
     for formula in ("thm41", "cor11", "cor12", "pp_ais", "pp_full"):
         assert inter.results[formula] == "0"
@@ -122,7 +122,7 @@ def test_le_round_trip_and_intersection_equality():
     # cor11 on Le-derived class triples equals cor11 on the strata triples
     # on the intersection fixtures
     for name in ("two_planes_cap_plane_p3", "quadric_cone_cap_plane_p3"):
-        sc_file = fixture_scenario(name)
+        sc_file = load_scenario_file(fixture_path(name))
         from milnor_classes.scenario import _hyp_class_triple
         triples = [_hyp_class_triple(s) for s in sc_file.hypersurfaces]
         hyps = tuple(s.hyp for s in sc_file.hypersurfaces)
@@ -177,12 +177,12 @@ def test_ring_and_bundle_axiom_suites():
 
 def test_negative_controls():
     # gamma-corrupted fixture reports FAIL
-    report = run_example("gamma_corrupted_control_p3")
+    report = run_compute(load_scenario_file(fixture_path("gamma_corrupted_control_p3")))
     assert not report.ok
     assert "formulas-agree: no" in report.to_text()
     # sign-flipped bundle relation fails the tangent identities
     p1 = ProjSpace(1)
     e = direct_sum(line_bundle(p1, 1), line_bundle(p1, 2))
     assert verify_tangent_identities(make_bundle_ring(p1, e)).ok
-    assert not verify_tangent_identities(corrupted_bundle_ring(p1, e)).ok
+    assert not verify_tangent_identities(CorruptedBundle(p1, e.rank, e.chern)).ok
     _passed("negative-controls")

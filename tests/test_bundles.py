@@ -41,6 +41,25 @@ class TestConstructors:
         with pytest.raises(ValueError):
             BundleClass(P2, 1, (P2.one() + P2.gen(0)) ** 2)
 
+    def test_degree_zero_part_must_be_one(self):
+        h = P2.gen(0)
+        for chern in (P2.from_int(2) + h, h, P2.zero(), -P2.one()):
+            with pytest.raises(ValueError, match="must start with 1"):
+                BundleClass(P2, 1, chern)
+
+    def test_part_above_rank_names_lowest_codimension(self):
+        h = P3.gen(0)
+        with pytest.raises(ValueError, match=r"codimension 2 > rank 1$"):
+            BundleClass(P3, 1, P3.one() + h + h ** 2 + (h ** 3).scale(5))
+        with pytest.raises(ValueError, match=r"codimension 3 > rank 1$"):
+            BundleClass(P3, 1, P3.one() + h + h ** 3)
+        with pytest.raises(ValueError, match=r"codimension 3 > rank 2$"):
+            BundleClass(P3, 2, P3.one() + h ** 3)
+        # a part up to the rank is fine, and c(k) reads it back
+        e = BundleClass(P3, 2, P3.one() + h.scale(3) + (h ** 2).scale(2))
+        assert [e.c(k) for k in range(5)] == [P3.one(), h.scale(3), (h ** 2).scale(2),
+                                              P3.zero(), P3.zero()]
+
 
 class TestDirectSum:
     def test_example_p3(self):

@@ -10,10 +10,9 @@ fixture.
 import pytest
 
 from milnor_classes.chow import ProjSpace
-from milnor_classes.bundles import direct_sum, line_bundle, top_chern
+from milnor_classes.bundles import direct_sum, line_bundle, line_twist, top_chern
 from milnor_classes.charclass import (
     aluffi_milnor,
-    aluffi_tensor,
     csm_from_milnor,
     hypersurface_classes,
     milnor_pp,
@@ -138,15 +137,15 @@ class TestDefinitionIdentity:
 
     def test_csm_from_milnor_examples(self):
         h = P2.gen(0)
-        csm = csm_from_milnor(h.scale(3), P2.point_class(), 2, 1)
+        csm = csm_from_milnor(h.scale(3), P2.point_class())
         assert csm == h.scale(3) + P2.point_class()
         assert csm.degree() == 1
         h3 = P3.gen(0)
         virt = h3.scale(2) + (h3 * h3).scale(4) + (h3 ** 3).scale(4)
-        csm = csm_from_milnor(virt, P3.point_class(), 3, 1)
+        csm = csm_from_milnor(virt, P3.point_class())
         assert csm.degree() == 3
         # smooth: csm equals virt
-        assert csm_from_milnor(virt, P3.zero(), 3, 1) == virt
+        assert csm_from_milnor(virt, P3.zero()) == virt
 
 
 class TestIsolatedMilnorNumbers:
@@ -177,19 +176,18 @@ class TestAluffiOperations:
     def test_tensor_trivial(self):
         h = P2.gen(0)
         a = h.scale(2) + (h * h).scale(5)
-        assert aluffi_tensor(a, line_bundle(P2, 0)) == a
+        assert line_twist(a, line_bundle(P2, 0).c1(), 0) == a
 
     def test_tensor_examples(self):
         h = P2.gen(0)
-        assert aluffi_tensor(h * h, line_bundle(P2, 3)) == h * h
-        assert aluffi_tensor(h, line_bundle(P2, 1)) == h - h * h
+        assert line_twist(h * h, line_bundle(P2, 3).c1(), 0) == h * h
+        assert line_twist(h, line_bundle(P2, 1).c1(), 0) == h - h * h
 
     def test_tensor_inverts(self):
         h = P3.gen(0)
         a = h + (h * h).scale(4) - (h ** 3).scale(2)
-        l = line_bundle(P3, 2)
-        from milnor_classes.bundles import dual
-        assert aluffi_tensor(aluffi_tensor(a, l), dual(l)) == a
+        ell = line_bundle(P3, 2).c1()
+        assert line_twist(line_twist(a, ell, 0), -ell, 0) == a
 
 
 class TestSegreBuiltin:

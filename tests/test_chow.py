@@ -7,6 +7,7 @@ from milnor_classes.chow import (
     MultiProj,
     ProjBundle,
     ProjSpace,
+    int_text,
     parse_class,
 )
 from milnor_classes.bundles import direct_sum, line_bundle
@@ -189,6 +190,18 @@ class TestRendering:
     def test_parse_multiproj(self):
         a = parse_class(P1xP1, "2*h1*h2 - h1 + 1")
         assert a.coeffs == {(1, 1): 2, (1, 0): -1, (0, 0): 1}
+
+    def test_coefficients_past_the_digit_limit(self):
+        # str(int) refuses more than sys.get_int_max_str_digits() digits
+        # (4300 by default); rendering and parsing do not
+        big = 7 * (10 ** 9000 - 1) // 9  # 9000 sevens
+        a = (P3.gen(0).scale(big) - P3.point_class().scale(big + 1)).scale(big)
+        text = a.render()
+        assert len(text) > 2 * 17999
+        assert parse_class(P3, text) == a
+        assert parse_class(P3, text).render() == text
+        assert int_text(-big) == "-" + "7" * 9000
+        assert int_text(12) == "12"
 
 
 class TestProjBundleRing:

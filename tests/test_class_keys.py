@@ -78,7 +78,7 @@ def test_every_constructor_keeps_key_order(name, seed):
                   divide(a, _no_unit(b), 2), line_twist(a, ell, 3),
                   times_chern(a, ((ell, 2), (ell.scale(2), -3))),
                   parse_class(ambient, a.render())]
-        built += [part for _, part in a.components()]
+        built += [a.component(k) for k in range(ambient.dimension + 1)]
         if isinstance(ambient, ProjBundle):
             built += [ambient.pushforward(a), ambient.pullback(ambient.pushforward(a))]
     for c in built:

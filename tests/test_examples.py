@@ -7,12 +7,12 @@ import pytest
 from milnor_classes.cli import main
 from milnor_classes.examples import (
     FIXTURE_DIR,
+    fixture_path,
     k_nodal_curve,
     list_examples,
     load_fixture,
-    run_example,
 )
-from milnor_classes.scenario import parse_scenario, run_compute
+from milnor_classes.scenario import load_scenario_file, parse_scenario, run_compute
 
 ROOT_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -56,6 +56,12 @@ class TestSingleSource:
         main(["compute", str(ROOT_FIXTURES / f"{name}.json"), "--machine", "--no-timing"])
         assert capsys.readouterr().out == via_examples
 
+    def test_examples_run_times_unless_no_timing(self, capsys):
+        main(["examples", "--run", "nodal_cubic_p2"])
+        assert "\ntiming-ms: " in capsys.readouterr().out
+        main(["examples", "--run", "nodal_cubic_p2", "--no-timing"])
+        assert "timing-ms" not in capsys.readouterr().out
+
     def test_parametric_family_reproduces_its_file(self):
         assert k_nodal_curve(4, 3) == load_fixture("3_nodal_degree_4_curve_p2")
 
@@ -64,7 +70,7 @@ class TestFixtureRuns:
     @pytest.mark.parametrize("name", list_examples())
     def test_fixture_verdicts(self, name):
         fixture = load_fixture(name)
-        report = run_example(name)
+        report = run_compute(load_scenario_file(fixture_path(name)))
         if fixture.get("expect_fail"):
             assert not report.ok, report.to_text()
         else:
@@ -75,7 +81,7 @@ class TestFixtureRuns:
         for name, total in [("nodal_cubic_p2", 1), ("cuspidal_cubic_p2", 2),
                             ("quadric_cone_p3", 1),
                             ("3_nodal_degree_4_curve_p2", 3)]:
-            report = run_example(name)
+            report = run_compute(load_scenario_file(fixture_path(name)))
             hyp = report.sections[0]
             from milnor_classes.chow import ProjSpace, parse_class
             fixture = load_fixture(name)

@@ -265,7 +265,10 @@ class TestCli:
         ("5", "0", "integer in 0..3"),
         ("1", "h^2 + h^3", "homogeneous of codimension 2"),
         ("0", "h^2", "homogeneous of codimension 3"),
-    ], ids=["key-above-dim", "inhomogeneous", "wrong-codimension"])
+        ("01", "0", "integer in 0..3"),
+        ("9" * 5000, "h^2", "integer in 0..3"),
+    ], ids=["key-above-dim", "inhomogeneous", "wrong-codimension", "leading-zero",
+            "key-past-digit-limit"])
     def test_malformed_le_cycles_exit_2(self, tmp_path, k, text, message):
         data = load_fixture("two_planes_le_route_p3")
         data["hypersurfaces"][0]["le_cycles"] = {k: text}
@@ -505,6 +508,54 @@ class TestExitCodeContract:
         # in process: any exception escaping main fails the test
         assert cli.main(["compute", str(path), "--no-timing"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {fieldpath}: ")
+
+    @pytest.mark.parametrize("fixture,mutate,message", [
+        ("general_case_p2", _set(("general_case", "bundle"), {"rank": 1, "chern": "1 + h + h^2"}),
+         "general_case.bundle: Chern class has a nonzero part in codimension 2 > rank 1"),
+        ("general_case_p2", _set(("general_case", "bundle"), {"rank": 1, "chern": "2 + h"}),
+         "general_case.bundle: total Chern class must start with 1"),
+        ("two_planes_p3", _set(("hypersurfaces", 0, "strata", 1, "closure"),
+                               {"class": "h^2 + h^3", "csm": "h^2 + 2*h^3"}),
+         "hypersurfaces[0].strata: two_planes: closure class of line has a part in "
+         "codimension 3, expected pure codimension 2"),
+    ], ids=["bundle-above-rank", "bundle-degree-0", "closure-codimension"])
+    def test_graded_validation_exit_2(self, tmp_path, capsys, fixture, mutate, message):
+        data = load_fixture(fixture)
+        mutate(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["compute", str(path), "--no-timing"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_coefficients_past_digit_limit_exit_0(self, tmp_path, capsys):
+        # a product of two 4000-digit coefficients has 8000 digits, past
+        # str(int)'s default limit of 4300; it used to exit 1 with a traceback
+        big = "7" * 4000
+        plane = {"multidegree": [1],
+                 "strata": [{"name": "reg", "dim": 2, "milnor_fiber_chi": 1,
+                             "contained_in": []}],
+                 "oracle": {"csm": f"{big}*h + 3*h^2"}}
+        data = {"ambient": {"kind": "proj", "n": 3},
+                "hypersurfaces": [{"name": "a", **plane}, {"name": "b", **plane}],
+                "intersection": {"hypersurfaces": ["a", "b"]}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["compute", str(path), "--machine", "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        p3 = ProjSpace(3)
+        csm = parse_class(p3, f"{big}*h + 3*h^2")
+        product = csm * csm
+        assert parse_class(p3, product.render()) == product
+        values = [v for s in doc["sections"] for k, v in s["results"].items() if k != "chi"]
+        assert any(len(v) > 8000 for v in values)
+        for text in values:
+            assert parse_class(p3, text).render() == text
+        # an 8000-digit chi prints exactly
+        data["hypersurfaces"][0]["oracle"]["csm"] = f"{big}{big}*h^3 + h"
+        path.write_text(json.dumps(data))
+        assert cli.main(["compute", str(path), "--machine", "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sections"][0]["results"]["chi"] == big + big
 
     @pytest.mark.parametrize("key", ["mu-class", "milnor-aluffi"])
     def test_expected_aluffi_result_without_aluffi_exit_2(self, tmp_path, capsys, key):

@@ -1,8 +1,8 @@
-"""Stratification weights and stratified Euler characteristics."""
+"""Stratification data: validation, gamma weights and builtin closures."""
 
 import pytest
 
-from milnor_classes.chow import ProjSpace
+from milnor_classes.chow import ProjSpace, parse_class
 from milnor_classes.bundles import line_bundle
 from milnor_classes.strata import (
     StratificationError,
@@ -12,7 +12,6 @@ from milnor_classes.strata import (
     linear_closure,
     mu_weight,
     point_closure,
-    stratified_chi,
 )
 
 P2 = ProjSpace(2)
@@ -103,39 +102,6 @@ class TestGammaWeights:
             assert total == mu_weight(s, hyp)
 
 
-class TestStratifiedChi:
-    def test_nodal_cubic(self):
-        hyp = nodal_cubic()
-        assert stratified_chi([(1, s) for s in hyp.strata]) == 1
-
-    def test_cuspidal_cubic(self):
-        cl, csm = point_closure(P2)
-        cusp = Stratum("cusp", dim=0, milnor_fiber_chi=-1, closure_class=cl,
-                       csm_closure=csm, contained_in={"reg"})
-        csm_x = P2.gen(0).scale(3) + P2.point_class().scale(2)
-        hyp = StratifiedHypersurface("cuspidal", P2, line_bundle(P2, 3),
-                                     (reg_stratum(P2, 3, csm_x), cusp))
-        assert stratified_chi([(1, s) for s in hyp.strata]) == 2
-
-    def test_two_planes(self):
-        hyp = two_planes()
-        assert stratified_chi([(1, s) for s in hyp.strata]) == 4
-
-    def test_weights_scale(self):
-        hyp = two_planes()
-        weighted = [(3 if s.name == "line" else 1, s) for s in hyp.strata]
-        # chi(open part) = 4 - 2 = 2, chi(line) = 2
-        assert stratified_chi(weighted) == 2 + 3 * 2
-
-    def test_missing_csm_rejected(self):
-        hyp = nodal_cubic()
-        bare_reg = Stratum("reg", dim=1, milnor_fiber_chi=1,
-                           closure_class=line_bundle(P2, 3).c1())
-        node = next(s for s in hyp.strata if s.name == "node")
-        with pytest.raises(StratificationError):
-            stratified_chi([(1, bare_reg), (1, node)])
-
-
 class TestValidation:
     def test_two_open_strata_rejected(self):
         with pytest.raises(StratificationError):
@@ -187,6 +153,18 @@ class TestValidation:
         line = Stratum("line", dim=1, milnor_fiber_chi=0, closure_class=bad_cl,
                        csm_closure=bad_cl, contained_in={"reg"})
         with pytest.raises(StratificationError, match="codimension"):
+            StratifiedHypersurface("bad", P3, line_bundle(P3, 2),
+                                   (reg_stratum(P3, 2), line))
+
+    @pytest.mark.parametrize("text,fault", [("h + h^2", 1), ("h^2 + h^3", 3),
+                                            ("h + h^2 + h^3", 1), ("1 + h^2", 0)])
+    def test_closure_codimension_names_lowest_fault(self, text, fault):
+        closure = parse_class(P3, text)
+        line = Stratum("line", dim=1, milnor_fiber_chi=0, closure_class=closure,
+                       csm_closure=closure, contained_in={"reg"})
+        with pytest.raises(StratificationError,
+                           match=f"^bad: closure class of line has a part in codimension "
+                                 f"{fault}, expected pure codimension 2$"):
             StratifiedHypersurface("bad", P3, line_bundle(P3, 2),
                                    (reg_stratum(P3, 2), line))
 
