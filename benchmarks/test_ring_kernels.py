@@ -11,8 +11,10 @@ classes, dense in every codimension.  The inverse is also timed on
 c(TP^1000), three rounds of about a second each.  The Chern-root kernel
 `times_chern` is timed through its two largest callers, the virtual class
 of a hypersurface and c(TM)^(-1) (`_inv_tangent_power`), on P^1000 and on
-P^15 x P^15 x P^15, each on a fresh ambient per round and checked against
-the product with the expanded inverse.  A division by c(F) of the
+P^15 x P^15 x P^15, each checked against the product with the expanded
+inverse.  Equal projective rings are one object, so every round runs on
+the same ring with c(TM) already built: they time warm c(TM), the cost
+every op after the first pays.  A division by c(F) of the
 tautological sub-bundle of the tower, whose bundles have no Chern roots,
 times the expanded c(F) - 1 through the same recurrence.  The
 other callers of the line-twist kernel, `twist_chern` (the cotangent
@@ -116,13 +118,13 @@ def _ambient(dims):
 def test_virtual_class_large(benchmark, name):
     dims, degree = ROOT_CASES[name]
 
-    def fresh():
+    def inputs():
         ambient = _ambient(dims)
         l = line_bundle(ambient, degree)
         return (ambient, l, l.c1()), {}
 
-    virt = benchmark.pedantic(virtual_class, setup=fresh, rounds=3)
-    (ambient, l, x), _ = fresh()
+    virt = benchmark.pedantic(virtual_class, setup=inputs, rounds=3)
+    (ambient, l, x), _ = inputs()
     assert virt.ambient == ambient
     assert virt.coeffs == (ambient.tangent_chern * l.chern.inverse() * x).coeffs
 

@@ -32,6 +32,7 @@ from .chow import (
     ProjSpace,
     add_products,
     divide,
+    same_ambient,
 )
 
 # Chern roots: (ell, m) pairs standing for the factor (1 + ell)^m
@@ -73,7 +74,7 @@ class BundleClass:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError(f"negative rank: {self.rank}")
-        if self.chern.ambient != self.ambient:
+        if not same_ambient(self.chern.ambient, self.ambient):
             raise AmbientMismatchError("Chern class lives on a different ambient")
         if self.chern.part(0, 0) != self.ambient.one():
             raise ValueError("total Chern class must start with 1")
@@ -85,7 +86,7 @@ class BundleClass:
                 f"Chern class has a nonzero part in codimension {k} > rank {self.rank}")
         if self.roots is not None:
             for ell, _ in self.roots:
-                if ell.ambient is not self.ambient and ell.ambient != self.ambient:
+                if not same_ambient(ell.ambient, self.ambient):
                     raise AmbientMismatchError("Chern root lives on a different ambient")
                 if not _is_root(ell):
                     raise ValueError(f"Chern root {ell.render()} is not of codimension 1")
@@ -102,8 +103,18 @@ class BundleClass:
         return self.c(1)
 
 
+# (ring, multidegree) -> (c, roots) of its line bundle; rings are interned,
+# so one entry per ring shape and multidegree the process has asked for
+_LINE_CLASSES: dict[tuple[AmbientSpace, tuple[int, ...]], tuple[CycleClass, Roots]] = {}
+
+
 def line_bundle(ambient: AmbientSpace, multidegree: int | tuple[int, ...] | list[int]) -> BundleClass:
-    """O(d_1, ..., d_k): rank 1 with c = 1 + sum d_j h_j."""
+    """O(d_1, ..., d_k): rank 1 with c = 1 + sum d_j h_j.
+
+    Its classes are built once per ring and multidegree and shared by every
+    bundle returned for them.  Each call still validates the BundleClass it
+    returns, so what a call does is the same whatever earlier calls built.
+    """
     if not isinstance(ambient, (ProjSpace, MultiProj)):
         raise ValueError(f"line_bundle expects a projective-space ambient, got {ambient!r}")
     degs = (multidegree,) if isinstance(multidegree, int) else tuple(multidegree)
@@ -111,10 +122,18 @@ def line_bundle(ambient: AmbientSpace, multidegree: int | tuple[int, ...] | list
         raise ValueError(
             f"multidegree {degs} has {len(degs)} entries, ambient has "
             f"{len(ambient.generators)} generators")
-    c1 = ambient.zero()
-    for i, d in enumerate(degs):
-        c1 = c1 + ambient.gen(i).scale(d)
-    return BundleClass(ambient, 1, ambient.one() + c1, ((c1, 1),))
+    for d in degs:  # before the lookup: 2.0 would find the entry of 2
+        if not isinstance(d, int):
+            raise TypeError(f"scalars must be exact integers, got {d!r}")
+    classes = _LINE_CLASSES.get((ambient, degs))
+    if classes is None:
+        n = len(degs)
+        c1 = ambient.from_coeffs({tuple(int(i == j) for i in range(n)): d
+                                  for j, d in enumerate(degs)})
+        classes = _LINE_CLASSES[ambient, degs] = (
+            CycleClass(ambient, {0: 1, **c1.terms}), ((c1, 1),))
+    chern, roots = classes
+    return BundleClass(ambient, 1, chern, roots)
 
 
 def trivial_bundle(ambient: AmbientSpace, rank: int = 1) -> BundleClass:
@@ -123,7 +142,7 @@ def trivial_bundle(ambient: AmbientSpace, rank: int = 1) -> BundleClass:
 
 def direct_sum(e: BundleClass, f: BundleClass) -> BundleClass:
     """Whitney sum: ranks add, total Chern classes multiply, root lists join."""
-    if e.ambient != f.ambient:
+    if not same_ambient(e.ambient, f.ambient):
         raise AmbientMismatchError("direct_sum operands live on different ambients")
     roots = None if e.roots is None or f.roots is None else e.roots + f.roots
     return BundleClass(e.ambient, e.rank + f.rank, e.chern * f.chern, roots)
@@ -259,7 +278,7 @@ def tensor_line(e: BundleClass, l: BundleClass) -> BundleClass:
     """Twist by a line bundle: c_k(E (x) L) = sum_i C(rank-i, k-i) c_i(E) c1(L)^(k-i)."""
     if l.rank != 1:
         raise ValueError(f"twist must be a line bundle, got rank {l.rank}")
-    if e.ambient != l.ambient:
+    if not same_ambient(e.ambient, l.ambient):
         raise AmbientMismatchError("tensor_line operands live on different ambients")
     ell = l.c1()
     roots = None if e.roots is None else tuple((x + ell, m) for x, m in e.roots)

@@ -51,6 +51,20 @@ split.
 Coefficients are Python ints (arbitrary precision); any inversion of a
 class whose degree-0 part is not a unit raises instead of rounding.
 `int_text` and `parse_class` write and read them exactly at any size.
+
+One ring per shape: `ProjSpace(n)` and `MultiProj(dims)` hand out the one
+ring of that shape from the module table `_RINGS`, built on first use, so
+its cached state (`_gens`, the tangent roots and class, `_key_forms`, the
+key radices, `_key_texts`) is built once per shape per process, and
+`same_ambient`, identity first, settles every comparison of two of them.
+The dimensions are checked before the lookup, so a failed construction
+registers nothing, and a later construction never writes to the shared
+ring.  The table is unbounded by design: one entry per distinct dimension
+tuple the process has built.  `ProjBundle` is not interned: its key would
+hold a Chern class and roots, which the verify suites draw at random (206
+distinct of the 455 one `run_verify("all", 1)` pass builds), so its table
+would grow with every seed; two equal towers built apart compare by the
+recursive `ProjBundle.__eq__`.
 """
 
 from __future__ import annotations
@@ -65,6 +79,12 @@ from typing import Collection, Iterable, Mapping
 
 class AmbientMismatchError(ValueError):
     """Operands live in the Chow rings of different ambient spaces."""
+
+
+def same_ambient(a: "AmbientSpace", b: "AmbientSpace") -> bool:
+    """a and b are one ring.  Identity first: it settles interned rings, and
+    ProjBundle equality recurses through the tower."""
+    return a is b or a == b
 
 
 @dataclass(frozen=True)
@@ -82,10 +102,18 @@ class Generator:
 
 
 class AmbientSpace:
-    """Common interface of the three supported ambient kinds."""
+    """Common interface of the three supported ambient kinds.
+
+    Immutable: a ring is shared by every class on it, and equal projective
+    rings are one object.  Constructors fill `__dict__`, as `cached_property`
+    does.
+    """
 
     # subclasses provide: dimension, generators (tuple[Generator]), and
     # _relation_keys when a generator is rewritten
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
 
     @property
     def dimension(self) -> int:
@@ -133,6 +161,20 @@ class AmbientSpace:
     def monomial(self, key: int) -> tuple[int, ...]:
         """Exponent tuple of a key."""
         return tuple(map(mod, map(floordiv, repeat(key), self._places), self._bases))
+
+    @cached_property
+    def _key_texts(self) -> dict[int, str]:
+        """Rendered monomial of every key this ring has rendered, e.g. h1*h2^2."""
+        return {}
+
+    def key_text(self, key: int) -> str:
+        """The monomial of a key as render writes it; "" for the monomial 1."""
+        text = self._key_texts.get(key)
+        if text is None:
+            text = self._key_texts[key] = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(self.gen_names, self.monomial(key)) if e)
+        return text
 
     @cached_property
     def _key_forms(self) -> dict[int, list[tuple[int, int]]]:
@@ -275,19 +317,38 @@ class AmbientSpace:
         return times_chern(self.one(), self.tangent_roots)
 
 
-@dataclass(frozen=True)
+_RINGS: dict[tuple, AmbientSpace] = {}  # (class, dims) -> the one ring of that shape
+
+
+def _ring(cls: type, dims: tuple[int, ...]) -> AmbientSpace:
+    """The one ring of cls on factors of these dimensions, registered on first use."""
+    ring = _RINGS.get((cls, dims))
+    if ring is None:
+        ring = object.__new__(cls)
+        ring.__dict__["dims"] = dims
+        _RINGS[cls, dims] = ring
+    return ring
+
+
 class ProjSpace(AmbientSpace):
-    """Projective space P^n with Chow ring Z[h]/(h^(n+1))."""
+    """Projective space P^n with Chow ring Z[h]/(h^(n+1)), one ring per n."""
 
-    n: int
+    dims: tuple[int]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"negative dimension: {self.n}")
+    def __new__(cls, n: int) -> "ProjSpace":
+        if type(n) is not int:  # bool and float too
+            raise TypeError(f"ProjSpace dimension must be an int, got {n!r}")
+        if n < 0:
+            raise ValueError(f"negative dimension: {n}")
+        return _ring(cls, (n,))
+
+    @property
+    def n(self) -> int:
+        return self.dims[0]
 
     @property
     def dimension(self) -> int:
-        return self.n
+        return self.dims[0]
 
     @cached_property
     def generators(self) -> tuple[Generator, ...]:
@@ -298,22 +359,33 @@ class ProjSpace(AmbientSpace):
         # Euler sequence: TP^n = O(1)^(n+1) - O
         return ((self.gen(0), self.n + 1), (self.zero(), -1))
 
+    def __eq__(self, other: object) -> bool:
+        return self is other  # one ring per n
+
+    def __hash__(self) -> int:
+        return hash(self.dims)
+
+    def __reduce__(self):
+        return ProjSpace, self.dims
+
     def __repr__(self) -> str:
         return f"ProjSpace({self.n})"
 
 
-@dataclass(frozen=True)
 class MultiProj(AmbientSpace):
-    """A finite product P^(n_1) x ... x P^(n_k)."""
+    """A finite product P^(n_1) x ... x P^(n_k), one ring per dims tuple."""
 
     dims: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not self.dims:
+    def __new__(cls, dims: Iterable[int]) -> "MultiProj":
+        dims = tuple(dims)
+        if not all(type(d) is int for d in dims):  # bool and float too
+            raise TypeError(f"MultiProj dimensions must be ints, got {dims!r}")
+        if not dims:
             raise ValueError("MultiProj needs at least one factor")
-        if any(d < 0 for d in self.dims):
-            raise ValueError(f"negative dimension among factors: {self.dims}")
+        if min(dims) < 0:
+            raise ValueError(f"negative dimension among factors: {dims}")
+        return _ring(cls, dims)
 
     @property
     def dimension(self) -> int:
@@ -328,6 +400,15 @@ class MultiProj(AmbientSpace):
         # one Euler sequence per factor
         return tuple((self.gen(i), d + 1) for i, d in enumerate(self.dims)) + (
             (self.zero(), -len(self.dims)),)
+
+    def __eq__(self, other: object) -> bool:
+        return self is other  # one ring per dims tuple
+
+    def __hash__(self) -> int:
+        return hash((self.dims,))
+
+    def __reduce__(self):
+        return MultiProj, (self.dims,)
 
     def __repr__(self) -> str:
         return f"MultiProj{self.dims}"
@@ -346,16 +427,13 @@ class ProjBundle(AmbientSpace):
                  roots: "tuple[tuple[CycleClass, int], ...] | None" = None):
         if rank < 1:
             raise ValueError(f"bundle rank must be >= 1, got {rank}")
-        if chern.ambient != base:
+        if not same_ambient(chern.ambient, base):
             raise AmbientMismatchError("bundle Chern class does not live on the base ambient")
         if chern.component(0) != base.one():
             raise ValueError("bundle Chern class must have degree-0 part 1")
         if roots is not None and sum(m for _, m in roots) != rank:
             raise ValueError(f"root multiplicities do not sum to the rank {rank}")
-        self.base = base
-        self.rank = rank
-        self.chern = chern
-        self.roots = roots
+        self.__dict__.update(base=base, rank=rank, chern=chern, roots=roots)
 
     @property
     def dimension(self) -> int:
@@ -389,14 +467,14 @@ class ProjBundle(AmbientSpace):
 
     def pullback(self, a: "CycleClass") -> "CycleClass":
         """p* of a class on the base: each key times z's radix, the lowest digit."""
-        if a.ambient != self.base:
+        if not same_ambient(a.ambient, self.base):
             raise AmbientMismatchError("pullback argument must live on the base")
         radix = self._bases[-1]
         return CycleClass(self, {k * radix: c for k, c in a.terms.items()})
 
     def pushforward(self, a: "CycleClass") -> "CycleClass":
         """p_* : read off the z^(r-1) coefficient of the normal form."""
-        if a.ambient != self:
+        if not same_ambient(a.ambient, self):
             raise AmbientMismatchError("pushforward argument must live on this bundle")
         # a normal-form monomial's base exponents are in base normal form
         top = self.rank - 1
@@ -457,7 +535,7 @@ class ProjBundle(AmbientSpace):
 
     def __eq__(self, other: object) -> bool:
         return (type(other) is type(self)
-                and self.base == other.base
+                and same_ambient(self.base, other.base)
                 and self.rank == other.rank
                 and self.chern == other.chern)
 
@@ -563,8 +641,7 @@ class CycleClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycleClass):
             return NotImplemented
-        return ((self.ambient is other.ambient or self.ambient == other.ambient)
-                and self.terms == other.terms)
+        return same_ambient(self.ambient, other.ambient) and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -578,8 +655,7 @@ class CycleClass:
         return not self.terms
 
     def _check_same(self, other: "CycleClass") -> None:
-        # identity first: ProjBundle equality recurses through the tower
-        if self.ambient is not other.ambient and self.ambient != other.ambient:
+        if not same_ambient(self.ambient, other.ambient):
             raise AmbientMismatchError(
                 f"operands live on {self.ambient!r} and {other.ambient!r}")
 
@@ -687,20 +763,15 @@ class CycleClass:
         then exponent tuple, unit parts omitted."""
         if not self.terms:
             return "0"
-        names = self.ambient.gen_names
-        monomial = self.ambient.monomial
+        key_text = self.ambient.key_text
         pieces: list[str] = []
         for key, coeff in reversed(self.terms.items()):
-            factors = []
-            for name, e in zip(names, monomial(key)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
+            term = key_text(key)
             mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, int_text(mag))
-            term = "*".join(factors)
+            if not term:
+                term = int_text(mag)
+            elif mag != 1:
+                term = f"{int_text(mag)}*{term}"
             if not pieces:
                 pieces.append(term if coeff > 0 else f"-{term}")
             else:

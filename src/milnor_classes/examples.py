@@ -14,7 +14,6 @@ Euler characteristics the derivations use:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -61,7 +60,3 @@ def fixture_path(name: str) -> Path:
     if name not in names:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names)}")
     return FIXTURE_DIR / f"{name}.json"
-
-
-def load_fixture(name: str) -> dict:
-    return json.loads(fixture_path(name).read_text())

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .chow import AmbientSpace, CycleClass
+from .chow import AmbientSpace, CycleClass, same_ambient
 from .bundles import chern_roots, tangent_bundle, times_chern
 from .charclass import ClassBundle3, milnor_pp
 from .strata import StratifiedHypersurface, gamma_weights
@@ -59,9 +59,8 @@ class IntersectionScenario:
             raise ValueError(
                 f"intersection formulas need r >= 2 hypersurfaces, got {len(self.classes)}")
         for i, cb in enumerate(self.classes):
-            # identity first: ProjBundle equality recurses through the tower
-            if any(c.ambient is not self.ambient and c.ambient != self.ambient
-                   for c in (cb.virt, cb.csm, cb.milnor)):
+            if not all(same_ambient(c.ambient, self.ambient)
+                       for c in (cb.virt, cb.csm, cb.milnor)):
                 raise ValueError(f"member {i} has a class on a different ambient")
 
     @property

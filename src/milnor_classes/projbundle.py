@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import AmbientSpace, CycleClass, ProjBundle
+from .chow import AmbientSpace, CycleClass, ProjBundle, same_ambient
 from .bundles import BundleClass, chern_roots, times_chern, top_chern, twist_chern
 
 
 def make_bundle_ring(base: AmbientSpace, e: BundleClass) -> ProjBundle:
     """The Chow ring of P(E^v) as an ambient space."""
-    if e.ambient != base:
+    if not same_ambient(e.ambient, base):
         raise ValueError("bundle does not live on the given base")
     return ProjBundle(base, e.rank, e.chern, e.roots)
 
@@ -74,7 +74,7 @@ def verify_tangent_identities(ring: ProjBundle) -> TangentCheck:
 
 def lemma_transfer(f: BundleClass, cls: CycleClass) -> CycleClass:
     """Exact-sequence transfer: c(F)^(-1) c_top(F) cap (class on Z_1)."""
-    if f.ambient != cls.ambient:
+    if not same_ambient(f.ambient, cls.ambient):
         raise ValueError("bundle and class live on different ambients")
     return times_chern(top_chern(f) * cls, chern_roots(f, -1))
 
@@ -87,7 +87,7 @@ class GeneralCaseInput:
     milnor_of_tilde: CycleClass
 
     def __post_init__(self) -> None:
-        if self.milnor_of_tilde.ambient != self.ring:
+        if not same_ambient(self.milnor_of_tilde.ambient, self.ring):
             raise ValueError("milnor_of_tilde must live in the bundle ring")
 
 

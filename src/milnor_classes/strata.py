@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chow import AmbientSpace, CycleClass, ProjSpace
+from .chow import AmbientSpace, CycleClass, ProjSpace, same_ambient
 from .bundles import BundleClass, line_twist
 
 
@@ -80,7 +80,7 @@ class StratifiedHypersurface:
         if self.line_bundle.rank != 1:
             raise StratificationError(
                 f"{self.name}: hypersurface bundle must be a line bundle")
-        if self.line_bundle.ambient != self.ambient:
+        if not same_ambient(self.line_bundle.ambient, self.ambient):
             raise StratificationError(f"{self.name}: line bundle on wrong ambient")
         self._validate_strata()
 
@@ -121,7 +121,7 @@ class StratifiedHypersurface:
                     raise StratificationError(
                         f"{self.name}: containment of {s.name} is not "
                         f"transitive; missing {sorted(missing)}")
-            if s.closure_class.ambient != self.ambient:
+            if not same_ambient(s.closure_class.ambient, self.ambient):
                 raise StratificationError(
                     f"{self.name}: closure class of {s.name} on wrong ambient")
             closure, codim = s.closure_class, n - s.dim

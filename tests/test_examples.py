@@ -10,9 +10,10 @@ from milnor_classes.examples import (
     fixture_path,
     k_nodal_curve,
     list_examples,
-    load_fixture,
 )
 from milnor_classes.scenario import load_scenario_file, parse_scenario, run_compute
+
+from fixture_data import load_fixture
 
 ROOT_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -22,10 +22,17 @@ def test_every_fixture_has_a_golden():
     assert sorted(p.stem for p in GOLDEN.glob("*.out")) == list_examples()
 
 
-@pytest.mark.parametrize("name", list_examples())
-def test_fixture_output_matches_golden(name, capsys):
-    code = cli.main(["compute", str(FIXTURE_DIR / f"{name}.json"),
-                     "--machine", "--no-timing", "--strict"])
-    out = capsys.readouterr().out
+# runs = 2 checks the second of two runs in one process, on the rings and
+# line-bundle classes that the first run left built
+RUNS = [pytest.param(name, runs, id=name if runs == 1 else f"{name}-second-run")
+        for runs in (1, 2) for name in list_examples()]
+
+
+@pytest.mark.parametrize("name, runs", RUNS)
+def test_fixture_output_matches_golden(name, runs, capsys):
+    for _ in range(runs):
+        code = cli.main(["compute", str(FIXTURE_DIR / f"{name}.json"),
+                         "--machine", "--no-timing", "--strict"])
+        out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
     assert code == EXIT_CODES[name]

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from milnor_classes import cli
 from milnor_classes.chow import ProjSpace, parse_class
-from milnor_classes.examples import list_examples, load_fixture
+from milnor_classes.examples import list_examples
 from milnor_classes.intersect import FORMULAS
 from milnor_classes.scenario import (
     ROUTES,
@@ -19,6 +19,8 @@ from milnor_classes.scenario import (
     parse_scenario,
     run_compute,
 )
+
+from fixture_data import load_fixture
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 LE_MEMBER = Path(__file__).resolve().parent / "scenarios" / "le_member_cap_plane_p3.json"
