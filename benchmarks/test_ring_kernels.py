@@ -32,18 +32,17 @@ from math import comb
 
 import pytest
 
-from milnor_classes.bundles import (
-    BundleClass,
-    chern_roots,
-    direct_sum,
-    line_bundle,
+from milnor_classes.bundles import BundleClass, chern_roots, direct_sum, line_bundle, trivial_bundle
+from milnor_classes.charclass import virtual_class
+from milnor_classes.chow import (
+    MultiProj,
+    ProjBundle,
+    ProjSpace,
     line_twist,
+    parse_class,
     times_chern,
-    trivial_bundle,
     twist_chern,
 )
-from milnor_classes.charclass import virtual_class
-from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, parse_class
 from milnor_classes.intersect import _inv_tangent_power
 from milnor_classes.lecycles import le_to_milnor, milnor_to_le
 from milnor_classes.projbundle import taut_sub_chern

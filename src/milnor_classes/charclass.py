@@ -16,7 +16,7 @@ singular locus) provides an independent second computation of M(X); its
 grading convention is ambient codimension and its global sign is (-1)^n,
 both frozen by the hypersurface calibration fixtures in the test suite.
 Aluffi's a (x) L, the linear Segre class and the route's c(L)^(n-1) factor
-are each one call of the line-twist kernel `bundles.line_twist`; the
+are each one call of the line-twist kernel `chow.line_twist`; the
 cotangent twist c(T*M (x) L) enters through its Chern roots ell - x.
 """
 
@@ -24,15 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .chow import AmbientSpace, CycleClass, ProjSpace
-from .bundles import (
-    BundleClass,
-    chern_roots,
-    line_twist,
-    times_chern,
-    top_chern,
-    twist_chern,
-)
+from .chow import AmbientSpace, CycleClass, ProjSpace, line_twist, times_chern, twist_chern
+from .bundles import BundleClass, chern_roots, top_chern
 from .strata import StratifiedHypersurface, gamma_weights
 
 

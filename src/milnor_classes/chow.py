@@ -33,20 +33,28 @@ outer slot and at most cap in each inner one, so no child key carries.
 Each ring keeps one table, `_key_forms`, with the normal form of every key
 it has reduced.
 
-One kernel serves multiply, inverse, the line twist (`bundles.line_twist`)
-and the Chern-root products and divisions (`bundles.times_chern`):
-`add_products` sums coefficients over pairs of keys below `key_bound`, and
+One kernel serves multiply, inverse, the line twist `line_twist` and the
+Chern-root products and divisions `times_chern`: `add_products` sums
+coefficients over pairs of keys below `key_bound`, and
 `AmbientSpace.settle` takes each distinct key of the sum once.
 `from_coeffs`, and with it `gen` and `parse_class`, encodes its monomials
 and settles them the same way.  `divide` is the one graded division, for
 the inverse and for every division of `times_chern`; it and the powers of
 ell settle one codimension at a time.  `CycleClass.part` is the one cut
-by codimension.
+by codimension.  Every product of a class with a power of a Chern class,
+here and in the formulas of the other modules, is one call of
+`line_twist`, `twist_chern` or `times_chern`, so no other module needs
+the key layout for it.
 
-The tangent class of every ambient comes from its Chern roots (see
-`bundles`): TP^n = O(1)^(n+1) - O, a product of projective spaces takes
-one such term per factor, and P(E^v) adds p*E^v (x) O(1) - O when E is
-split.
+Chern data is a rank, a total Chern class and, when known, Chern roots:
+(ell, m) pairs with c(E) = prod (1 + ell)^m (the splitting principle).
+`check_chern` is the one rule for it, which `bundles.BundleClass` and
+`ProjBundle` both apply: degree-0 part 1, nothing above the rank, roots
+of codimension 1 with multiplicities summing to the rank.
+
+The tangent class of every ambient comes from its Chern roots:
+TP^n = O(1)^(n+1) - O, a product of projective spaces takes one such term
+per factor, and P(E^v) adds p*E^v (x) O(1) - O when E is split.
 
 Coefficients are Python ints (arbitrary precision); any inversion of a
 class whose degree-0 part is not a unit raises instead of rounding.
@@ -305,15 +313,13 @@ class AmbientSpace:
         return CycleClass(self, self.settle(acc))
 
     @cached_property
-    def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
-        """Chern roots of the tangent bundle (see `bundles`), None when unknown."""
+    def tangent_roots(self) -> "Roots | None":
+        """Chern roots of the tangent bundle, None when unknown."""
         return None
 
     @cached_property
     def tangent_chern(self) -> "CycleClass":
         """Total Chern class of the tangent bundle, the product over its roots."""
-        from .bundles import times_chern
-
         return times_chern(self.one(), self.tangent_roots)
 
 
@@ -355,7 +361,7 @@ class ProjSpace(AmbientSpace):
         return (Generator("h", self.n),)
 
     @cached_property
-    def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...]":
+    def tangent_roots(self) -> "Roots":
         # Euler sequence: TP^n = O(1)^(n+1) - O
         return ((self.gen(0), self.n + 1), (self.zero(), -1))
 
@@ -396,7 +402,7 @@ class MultiProj(AmbientSpace):
         return tuple(Generator(f"h{i + 1}", d) for i, d in enumerate(self.dims))
 
     @cached_property
-    def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...]":
+    def tangent_roots(self) -> "Roots":
         # one Euler sequence per factor
         return tuple((self.gen(i), d + 1) for i, d in enumerate(self.dims)) + (
             (self.zero(), -len(self.dims)),)
@@ -424,15 +430,10 @@ class ProjBundle(AmbientSpace):
     """
 
     def __init__(self, base: AmbientSpace, rank: int, chern: "CycleClass",
-                 roots: "tuple[tuple[CycleClass, int], ...] | None" = None):
+                 roots: "Roots | None" = None):
         if rank < 1:
             raise ValueError(f"bundle rank must be >= 1, got {rank}")
-        if not same_ambient(chern.ambient, base):
-            raise AmbientMismatchError("bundle Chern class does not live on the base ambient")
-        if chern.component(0) != base.one():
-            raise ValueError("bundle Chern class must have degree-0 part 1")
-        if roots is not None and sum(m for _, m in roots) != rank:
-            raise ValueError(f"root multiplicities do not sum to the rank {rank}")
+        check_chern(base, rank, chern, roots)
         self.__dict__.update(base=base, rank=rank, chern=chern, roots=roots)
 
     @property
@@ -489,8 +490,6 @@ class ProjBundle(AmbientSpace):
         Built from raw Chern data, so a ring with a corrupted relation gives a
         wrong class rather than an exception.
         """
-        from .bundles import twist_chern
-
         return twist_chern(self.pullback(self.chern).dual(), self.rank, self.zeta())
 
     @cached_property
@@ -500,12 +499,10 @@ class ProjBundle(AmbientSpace):
         Raw Chern data like relative_tangent_chern: with a corrupted relation
         its parts in codimension >= r stay nonzero rather than raising.
         """
-        from .bundles import times_chern
-
         return times_chern(self.pullback(self.chern), ((self.zeta(), -1),))
 
     @cached_property
-    def relative_tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
+    def relative_tangent_roots(self) -> "Roots | None":
         """Roots z - p*e of p*E^v (x) O(1), one per root e of E; None without roots."""
         if self.roots is None:
             return None
@@ -513,14 +510,14 @@ class ProjBundle(AmbientSpace):
         return tuple((z - self.pullback(e), m) for e, m in self.roots)
 
     @cached_property
-    def sub_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
+    def sub_roots(self) -> "Roots | None":
         """Roots of F = p*E - O(1): the p*e of E's roots and z with multiplicity -1."""
         if self.roots is None:
             return None
         return tuple((self.pullback(e), m) for e, m in self.roots) + ((self.zeta(), -1),)
 
     @cached_property
-    def tangent_roots(self) -> "tuple[tuple[CycleClass, int], ...] | None":
+    def tangent_roots(self) -> "Roots | None":
         # T = p*T_base + T_rel, and T_rel = p*E^v (x) O(1) - O (Euler sequence)
         base_roots = self.base.tangent_roots
         if base_roots is None or self.roots is None:
@@ -612,6 +609,173 @@ def divide(a: CycleClass, x: CycleClass, times: int) -> CycleClass:
             solved.append(list(ambient.settle(acc).items()))
         terms = {key: c for part in solved for key, c in part}
     return CycleClass(ambient, terms)
+
+
+# -- Chern classes ----------------------------------------------------------
+
+# Chern roots: (ell, m) pairs standing for the factor (1 + ell)^m
+Roots = tuple[tuple["CycleClass", int], ...]
+
+
+def _merge_roots(pairs: Iterable[tuple[CycleClass, int]]) -> Roots:
+    """Add the multiplicities of equal classes and drop the pairs that reach 0."""
+    merged: list[list] = []
+    for ell, m in pairs:
+        for entry in merged:
+            if entry[0] == ell:
+                entry[1] += m
+                break
+        else:
+            merged.append([ell, m])
+    return tuple((ell, m) for ell, m in merged if m)
+
+
+def _is_root(ell: CycleClass) -> bool:
+    """ell is zero or homogeneous of codimension 1."""
+    return ell.part(1, 1) == ell
+
+
+def check_chern(ambient: AmbientSpace, rank: int, chern: CycleClass,
+                roots: Roots | None = None) -> None:
+    """Raise unless chern and roots are Chern data of a rank-`rank` bundle on ambient.
+
+    The degree-0 part is 1, nothing lies above the rank, and the roots, when
+    given, are of codimension 1 (or zero) with multiplicities summing to
+    the rank.  The roots are not checked against chern.
+    """
+    if rank < 0:
+        raise ValueError(f"negative rank: {rank}")
+    if not same_ambient(chern.ambient, ambient):
+        raise AmbientMismatchError("Chern class lives on a different ambient")
+    if chern.part(0, 0) != ambient.one():
+        raise ValueError("total Chern class must start with 1")
+    above = chern.part(rank + 1, ambient.dimension)
+    if above:
+        k = next(k for k in range(rank + 1, ambient.dimension + 1) if above.component(k))
+        raise ValueError(f"Chern class has a nonzero part in codimension {k} > rank {rank}")
+    if roots is not None:
+        for ell, _ in roots:
+            if not same_ambient(ell.ambient, ambient):
+                raise AmbientMismatchError("Chern root lives on a different ambient")
+            if not _is_root(ell):
+                raise ValueError(f"Chern root {ell.render()} is not of codimension 1")
+        if sum(m for _, m in roots) != rank:
+            raise ValueError(f"root multiplicities do not sum to the rank {rank}")
+
+
+def line_twist(a: CycleClass, ell: CycleClass, s: int) -> CycleClass:
+    """sum_k a^(k) (1 + ell)^(s - k) = c(L)^s (a (x) L), for ell = c1(L) of codimension 1.
+
+    a^(k) is the codimension-k piece of a, and a (x) L = sum_k a^(k) c(L)^(-k)
+    is Aluffi's twist, a graded ring endomorphism with
+    (a (x) L) (x) L' = a (x) (L (x) L'); so line_twist(., -ell, s) inverts
+    line_twist(., ell, s).  The generalized binomials C(e, i) of
+    (1 + ell)^e come from C(e, i) = C(e, i-1) (e - i + 1) / i, exact for
+    negative e too; ell^i a^(k) vanishes once i + k passes the dimension.
+    An ell outside codimension 1 raises: its powers would not come in
+    ascending codimension, which `add_products` needs.
+    """
+    if not _is_root(ell):
+        raise ValueError(f"line_twist needs a class of codimension 1, got {ell.render()}")
+    ambient = a.ambient
+    n = ambient.dimension
+    place = ambient.codim_place
+    series = _binomial_series(ell)
+    acc: dict[int, int] = {}
+    for k, part in groupby(a.terms.items(), lambda kc: kc[0] // place):
+        add_products(acc, part, series(s - k, n - k), ambient.key_bound)
+    return CycleClass(ambient, ambient.settle(acc))
+
+
+def _binomial_series(ell: CycleClass):
+    """series(e, top): (key, coefficient) terms of (1 + ell)^e up to codimension top.
+
+    The calls share the terms of the powers ell^i, built on demand.
+    """
+    ambient = ell.ambient
+    bound = ambient.key_bound
+    ell_terms = ell.terms.items()
+    powers = [[(0, 1)]]
+
+    def series(e: int, top: int) -> list[tuple[int, int]]:
+        out = []
+        binom = 1
+        for i in range(top + 1):
+            if i:
+                binom = binom * (e - i + 1) // i
+                if not binom:  # e >= 0 and i > e: the series has ended
+                    break
+            if i == len(powers):
+                step: dict[int, int] = {}
+                add_products(step, powers[-1], ell_terms, bound)
+                powers.append(list(ambient.settle(step).items()))
+            if not powers[i]:  # ell^i = 0, and so is every higher power
+                break
+            out += [(key, binom * c) for key, c in powers[i]]
+        return out
+
+    return series
+
+
+def times_chern(a: CycleClass, roots: Iterable[tuple[CycleClass, int]]) -> CycleClass:
+    """a prod (1 + x)^m over the (x, m) pairs of roots.
+
+    The product of a with c(E)^s is times_chern(a, bundles.chern_roots(E, s)).
+    Factors with m > 0 go first, since a division makes a sparse class
+    dense, and a factor that cannot reach past a's top codimension is
+    skipped.  x is a Chern root of codimension 1, or c(E) - 1 of a bundle
+    without roots; either enters one (1 + x) at a time: a product with
+    1 + x for m > 0, and for m < 0 the graded recurrence `divide`.
+    When x is a multiple c g of one truncate generator, (1 + x)^m has at
+    most min(top, cap) + 1 terms below a's top, and its binomial series,
+    the one `line_twist` uses, is multiplied in at once: always for m > 0,
+    and for m < 0 once the recurrence would take more passes than the
+    series has terms (the tangent powers c(TP^n)^(-k)).
+    """
+    ambient = a.ambient
+    one = ambient.one()
+    for x, m in sorted(_merge_roots(roots), key=lambda root: root[1] < 0):
+        if not x or not a:
+            continue
+        # (1 + x)^m matters up to this codimension
+        top = ambient.dimension - next(iter(a.terms)) // ambient.codim_place
+        if not top:
+            continue
+        cap = _truncate_cap(x)
+        if cap is not None and (m > 0 or -m > min(top, cap)):
+            acc: dict[int, int] = {}
+            add_products(acc, a.terms.items(), _binomial_series(x)(m, top), ambient.key_bound)
+            a = CycleClass(ambient, ambient.settle(acc))
+        elif m > 0:
+            for _ in range(m):
+                a = a * (one + x)
+        else:
+            a = divide(a, x, -m)
+    return a
+
+
+def _truncate_cap(ell: CycleClass) -> int | None:
+    """The cap of the truncate generator g when ell = c g, else None.
+
+    Only then is (1 + ell)^m the binomial series in one codimension-1
+    class; a monomial such as h^2 or h1 h2 is not.  The key of c g is g's
+    place value plus one codimension.
+    """
+    if len(ell.terms) != 1 or not _is_root(ell):
+        return None
+    (key,) = ell.terms
+    ambient = ell.ambient
+    gen = ambient.generators[ambient._places.index(key - ambient.codim_place)]
+    return None if gen.rewrite else gen.cap
+
+
+def twist_chern(chern: CycleClass, rank: int, ell: CycleClass) -> CycleClass:
+    """c(E (x) L) = sum_(i <= rank) c_i(E) (1 + ell)^(rank - i), without validation.
+
+    The line twist of the raw total Chern class cut at the rank: parts of
+    chern above the rank do not enter.
+    """
+    return line_twist(chern.part(0, rank), ell, rank)
 
 
 class CycleClass:

@@ -3,7 +3,8 @@
 Subcommands:
   compute <file>   run a scenario file and print its report
   verify           run the seeded property suites
-  examples         list builtin fixtures or run one by name
+  examples         list the builtin fixtures (the scenario files of the
+                   package's fixtures/ directory) or run one by name
 
 Exit codes: 0 ok, 1 verification failure, 2 input error.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .scenario import ROUTES, ScenarioError, load_scenario_file, run_compute
 from .verify import SUITES, run_verify
@@ -79,18 +81,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    from .examples import fixture_path, list_examples
-
+    fixtures = Path(__file__).parent / "fixtures"
+    names = sorted(p.stem for p in fixtures.glob("*.json"))
     if args.run is None:
-        for name in list_examples():
+        for name in names:
             print(name)
         return 0
-    try:
-        path = fixture_path(args.run)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    if args.run not in names:
+        print(f"error: unknown fixture {args.run!r}; available: {', '.join(names)}",
+              file=sys.stderr)
         return 2
-    _emit(run_compute(load_scenario_file(path), with_timing=not args.no_timing), args.machine)
+    report = run_compute(load_scenario_file(fixtures / f"{args.run}.json"),
+                         with_timing=not args.no_timing)
+    _emit(report, args.machine)
     return 0
 
 

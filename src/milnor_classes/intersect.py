@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .chow import AmbientSpace, CycleClass, same_ambient
-from .bundles import chern_roots, tangent_bundle, times_chern
+from .chow import AmbientSpace, CycleClass, same_ambient, times_chern
+from .bundles import chern_roots, tangent_bundle
 from .charclass import ClassBundle3, milnor_pp
 from .strata import StratifiedHypersurface, gamma_weights
 

@@ -15,8 +15,8 @@ Twisting by -c1(L) undoes twisting by c1(L), so the inverse is
 
 from __future__ import annotations
 
-from .chow import CycleClass
-from .bundles import BundleClass, line_twist
+from .chow import CycleClass, line_twist
+from .bundles import BundleClass
 
 
 def le_to_milnor(lam: CycleClass, l: BundleClass) -> CycleClass:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chow import AmbientSpace, CycleClass, ProjBundle, same_ambient
-from .bundles import BundleClass, chern_roots, times_chern, top_chern, twist_chern
+from .chow import AmbientSpace, CycleClass, ProjBundle, same_ambient, times_chern, twist_chern
+from .bundles import BundleClass, chern_roots, top_chern
 
 
 def make_bundle_ring(base: AmbientSpace, e: BundleClass) -> ProjBundle:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chow import AmbientSpace, CycleClass, ProjSpace, same_ambient
-from .bundles import BundleClass, line_twist
+from .chow import AmbientSpace, CycleClass, ProjSpace, line_twist, same_ambient
+from .bundles import BundleClass
 
 
 class StratificationError(ValueError):
@@ -130,9 +130,22 @@ class StratifiedHypersurface:
                 raise StratificationError(
                     f"{self.name}: closure class of {s.name} has a part in "
                     f"codimension {k}, expected pure codimension {codim}")
-            if s.name != open_stratum.name and s.csm_closure is None:
+            csm = s.csm_closure
+            if csm is None:
+                if s.name != open_stratum.name:
+                    raise StratificationError(
+                        f"{self.name}: singular stratum {s.name} needs csm_closure data")
+                continue
+            if not same_ambient(csm.ambient, self.ambient):
                 raise StratificationError(
-                    f"{self.name}: singular stratum {s.name} needs csm_closure data")
+                    f"{self.name}: csm_closure of {s.name} on wrong ambient")
+            # c^SM(closure) = [closure] + parts of higher codimension
+            if csm.part(0, codim) != closure:
+                k = next(k for k in range(codim + 1) if csm.part(k, k) != closure.part(k, k))
+                raise StratificationError(
+                    f"{self.name}: csm_closure of {s.name} differs from its closure class "
+                    f"in codimension {k}; it must equal the closure class in codimension "
+                    f"{codim} and vanish below")
 
     @property
     def open_stratum(self) -> Stratum:

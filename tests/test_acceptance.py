@@ -17,7 +17,6 @@ from milnor_classes.charclass import (
     segre_builtin,
     virtual_class,
 )
-from milnor_classes.examples import fixture_path
 from milnor_classes.intersect import IntersectionScenario, milnor_cor11
 from milnor_classes.lecycles import le_to_milnor, milnor_to_le
 from milnor_classes.projbundle import (
@@ -30,6 +29,7 @@ from milnor_classes.projbundle import (
 )
 from milnor_classes.scenario import load_scenario_file, run_compute
 from milnor_classes.verify import CorruptedBundle, run_suite
+from fixture_data import fixture_path
 from test_verify_suites import run_property
 
 P2 = ProjSpace(2)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from milnor_classes.chow import AmbientMismatchError, MultiProj, ProjBundle, ProjSpace
+from milnor_classes.chow import (
+    AmbientMismatchError,
+    MultiProj,
+    ProjBundle,
+    ProjSpace,
+    parse_class,
+    times_chern,
+)
 from milnor_classes.bundles import (
     BundleClass,
     chern_roots,
@@ -11,7 +18,6 @@ from milnor_classes.bundles import (
     line_bundle,
     tangent_bundle,
     tensor_line,
-    times_chern,
     top_chern,
     trivial_bundle,
 )
@@ -273,6 +279,19 @@ class TestChernRoots:
             BundleClass(P2, 1, chern, ((P3.gen(0), 1),))
         with pytest.raises(ValueError, match="sum to the rank"):
             ProjBundle(P2, 2, chern, ((h, 1),))
+
+    @pytest.mark.parametrize("chern_text, root_text, message", [
+        ("1 + h + h^2", None, "Chern class has a nonzero part in codimension 2 > rank 1"),
+        ("1 + h", "h^2", "Chern root h^2 is not of codimension 1"),
+    ], ids=["part-above-rank", "root-codimension-2"])
+    def test_bundle_ring_checks_chern_data_as_bundles_do(self, chern_text, root_text, message):
+        # ProjBundle used to accept both, and its relation dropped the h^2
+        chern = parse_class(P2, chern_text)
+        roots = None if root_text is None else ((parse_class(P2, root_text), 1),)
+        for build in (BundleClass, ProjBundle):
+            with pytest.raises(ValueError) as error:
+                build(P2, 1, chern, roots)
+            assert str(error.value) == message
 
     def test_times_chern_round_trip(self):
         amb = MultiProj((2, 2))

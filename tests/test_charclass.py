@@ -9,8 +9,8 @@ fixture.
 
 import pytest
 
-from milnor_classes.chow import ProjSpace
-from milnor_classes.bundles import direct_sum, line_bundle, line_twist, top_chern
+from milnor_classes.chow import ProjSpace, line_twist
+from milnor_classes.bundles import direct_sum, line_bundle, top_chern
 from milnor_classes.charclass import (
     aluffi_milnor,
     csm_from_milnor,

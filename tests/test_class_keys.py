@@ -21,8 +21,7 @@ from itertools import product
 
 import pytest
 
-from milnor_classes.bundles import line_twist, times_chern
-from milnor_classes.chow import ProjBundle, divide, parse_class
+from milnor_classes.chow import ProjBundle, divide, line_twist, parse_class, times_chern
 from test_graded_kernels import RINGS
 
 SEEDS = range(3)

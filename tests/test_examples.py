@@ -5,15 +5,9 @@ from pathlib import Path
 import pytest
 
 from milnor_classes.cli import main
-from milnor_classes.examples import (
-    FIXTURE_DIR,
-    fixture_path,
-    k_nodal_curve,
-    list_examples,
-)
 from milnor_classes.scenario import load_scenario_file, parse_scenario, run_compute
 
-from fixture_data import load_fixture
+from fixture_data import FIXTURE_DIR, fixture_path, k_nodal_curve, list_examples, load_fixture
 
 ROOT_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

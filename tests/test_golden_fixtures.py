@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from milnor_classes import cli
-from milnor_classes.examples import FIXTURE_DIR, list_examples
+
+from fixture_data import FIXTURE_DIR, list_examples
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "fixtures"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())

@@ -33,13 +33,19 @@ from milnor_classes.bundles import (
     BundleClass,
     direct_sum,
     line_bundle,
-    line_twist,
     tensor_line,
-    times_chern,
     trivial_bundle,
+)
+from milnor_classes.chow import (
+    MultiProj,
+    ProjBundle,
+    ProjSpace,
+    divide,
+    line_twist,
+    parse_class,
+    times_chern,
     twist_chern,
 )
-from milnor_classes.chow import MultiProj, ProjBundle, ProjSpace, divide, parse_class
 from milnor_classes.lecycles import le_to_milnor
 from milnor_classes.projbundle import (
     grothendieck_residual,
@@ -218,6 +224,15 @@ class TestGradedKernels:
         s = data.draw(st.integers(-3, a.ambient.dimension + 2))
         ell = b.component(1)
         assert line_twist(line_twist(a, ell, s), -ell, s) == a
+
+    def test_line_twist_rejects_ell_outside_codimension_1(self):
+        # h (1 + h + h^2)^3 on P^4 has 7 h^4; the twist used to return 6 h^4,
+        # since the powers of h + h^2 do not come in ascending key order
+        p4 = ProjSpace(4)
+        h = p4.gen(0)
+        for ell in (h + h * h, p4.one() + h, h * h):
+            with pytest.raises(ValueError, match="needs a class of codimension 1"):
+                line_twist(h, ell, 4)
 
     @given(ring_and_classes(("P2xP1xP1", "bundle", "tower")))
     @settings(max_examples=60, deadline=None)

@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from milnor_classes import cli
 from milnor_classes.chow import ProjSpace, parse_class
-from milnor_classes.examples import list_examples
 from milnor_classes.intersect import FORMULAS
 from milnor_classes.scenario import (
     ROUTES,
@@ -20,7 +19,7 @@ from milnor_classes.scenario import (
     run_compute,
 )
 
-from fixture_data import load_fixture
+from fixture_data import list_examples, load_fixture
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 LE_MEMBER = Path(__file__).resolve().parent / "scenarios" / "le_member_cap_plane_p3.json"
@@ -476,6 +475,14 @@ INPUT_ERRORS = [
      _rename(("general_case", "expected"), "expect"), "general_case.expect"),
     ("bundle-unknown-key", "general_case_p2", _set(("general_case", "bundle", "rank"), 2),
      "general_case.bundle.rank"),
+    # a CSM class of a closure must start with the closure class; both used
+    # to exit 0 with a wrong Milnor class
+    ("closure-csm-below-class", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "strata", 1, "closure"), {"class": "h^2", "csm": "h"}),
+     "hypersurfaces[0].strata"),
+    ("csm-closure-override-below-class", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "strata", 1, "csm_closure"), "h + h^2"),
+     "hypersurfaces[0].strata"),
 ]
 
 
