@@ -18,8 +18,6 @@ keep them.  `chern_roots` hands the factors of c(E)^s to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chow import (
     AmbientMismatchError,
     AmbientSpace,
@@ -33,7 +31,6 @@ from .chow import (
 )
 
 
-@dataclass(frozen=True)
 class BundleClass:
     """A formal bundle: rank plus total Chern class with degree-0 part 1.
 
@@ -42,13 +39,24 @@ class BundleClass:
     not enter equality.
     """
 
-    ambient: AmbientSpace
-    rank: int
-    chern: CycleClass
-    roots: Roots | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("ambient", "rank", "chern", "roots")
+
+    def __init__(self, ambient: AmbientSpace, rank: int, chern: CycleClass,
+                 roots: Roots | None = None):
+        self.ambient = ambient
+        self.rank = rank
+        self.chern = chern
+        self.roots = roots
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_chern(self.ambient, self.rank, self.chern, self.roots)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BundleClass):
+            return NotImplemented
+        return (same_ambient(self.ambient, other.ambient) and self.rank == other.rank
+                and self.chern == other.chern)
 
     def c(self, k: int) -> CycleClass:
         """The k-th Chern class; zero beyond the ambient dimension."""

@@ -22,22 +22,29 @@ cotangent twist c(T*M (x) L) enters through its Chern roots ell - x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .chow import AmbientSpace, CycleClass, ProjSpace, line_twist, times_chern, twist_chern
 from .bundles import BundleClass, chern_roots, top_chern
 from .strata import StratifiedHypersurface, gamma_weights
 
 
-@dataclass(frozen=True)
 class ClassBundle3:
     """The virtual, CSM and Milnor classes of one hypersurface, and its strata
     when it has them (they do not enter equality)."""
 
-    virt: CycleClass
-    csm: CycleClass
-    milnor: CycleClass
-    hyp: StratifiedHypersurface | None = field(default=None, compare=False)
+    __slots__ = ("virt", "csm", "milnor", "hyp")
+
+    def __init__(self, virt: CycleClass, csm: CycleClass, milnor: CycleClass,
+                 hyp: StratifiedHypersurface | None = None):
+        self.virt = virt
+        self.csm = csm
+        self.milnor = milnor
+        self.hyp = hyp
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClassBundle3):
+            return NotImplemented
+        return (self.virt == other.virt and self.csm == other.csm
+                and self.milnor == other.milnor)
 
     def definition_identity_holds(self) -> bool:
         """milnor = (-1)^(dim M - 1) (virt - csm), exactly."""
@@ -142,11 +149,12 @@ def class_triple(l: BundleClass, milnor: CycleClass,
         csm = csm_oracle
     else:
         csm = csm_from_milnor(virt, milnor)
-    return ClassBundle3(virt=virt, csm=csm, milnor=milnor)
+    return ClassBundle3(virt, csm, milnor)
 
 
 def hypersurface_classes(hyp: StratifiedHypersurface,
                          csm_override: CycleClass | None = None) -> ClassBundle3:
     """Class triple of a stratified hypersurface, Milnor class by strata; the
     strata ride along for the per-stratum intersection formulas."""
-    return replace(class_triple(hyp.line_bundle, milnor_pp(hyp), csm_override), hyp=hyp)
+    cb = class_triple(hyp.line_bundle, milnor_pp(hyp), csm_override)
+    return ClassBundle3(cb.virt, cb.csm, cb.milnor, hyp)

@@ -78,7 +78,7 @@ recursive `ProjBundle.__eq__`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
 from functools import cached_property
 from itertools import groupby, repeat
 from operator import floordiv, lt, mod, mul
@@ -95,7 +95,6 @@ def same_ambient(a: "AmbientSpace", b: "AmbientSpace") -> bool:
     return a is b or a == b
 
 
-@dataclass(frozen=True)
 class Generator:
     """One codimension-1 generator with its reduction rule.
 
@@ -104,9 +103,12 @@ class Generator:
     (the tautological class of a bundle level) substitutes its relation.
     """
 
-    name: str
-    cap: int
-    rewrite: bool = False
+    __slots__ = ("name", "cap", "rewrite")
+
+    def __init__(self, name: str, cap: int, rewrite: bool = False):
+        self.name = name
+        self.cap = cap
+        self.rewrite = rewrite
 
 
 class AmbientSpace:
@@ -631,8 +633,11 @@ def _merge_roots(pairs: Iterable[tuple[CycleClass, int]]) -> Roots:
 
 
 def _is_root(ell: CycleClass) -> bool:
-    """ell is zero or homogeneous of codimension 1."""
-    return ell.part(1, 1) == ell
+    """ell is zero or homogeneous of codimension 1: its first and last keys
+    lie in codimension 1."""
+    terms = ell.terms
+    place = ell.ambient.codim_place
+    return not terms or place <= next(iter(terms)) and next(reversed(terms)) < 2 * place
 
 
 def check_chern(ambient: AmbientSpace, rank: int, chern: CycleClass,
@@ -641,17 +646,19 @@ def check_chern(ambient: AmbientSpace, rank: int, chern: CycleClass,
 
     The degree-0 part is 1, nothing lies above the rank, and the roots, when
     given, are of codimension 1 (or zero) with multiplicities summing to
-    the rank.  The roots are not checked against chern.
+    the rank.  The roots are not checked against chern.  Keys ascend by
+    codimension, so the first two checks read the key 0 (the monomial 1)
+    and the last key.
     """
     if rank < 0:
         raise ValueError(f"negative rank: {rank}")
     if not same_ambient(chern.ambient, ambient):
         raise AmbientMismatchError("Chern class lives on a different ambient")
-    if chern.part(0, 0) != ambient.one():
+    terms = chern.terms
+    if terms.get(0) != 1:
         raise ValueError("total Chern class must start with 1")
-    above = chern.part(rank + 1, ambient.dimension)
-    if above:
-        k = next(k for k in range(rank + 1, ambient.dimension + 1) if above.component(k))
+    if next(reversed(terms)) >= (rank + 1) * ambient.codim_place:
+        k = next(k for k in range(rank + 1, ambient.dimension + 1) if chern.component(k))
         raise ValueError(f"Chern class has a nonzero part in codimension {k} > rank {rank}")
     if roots is not None:
         for ell, _ in roots:
@@ -903,11 +910,19 @@ class CycleClass:
     # -- grading --------------------------------------------------------------
 
     def part(self, lo: int, hi: int) -> "CycleClass":
-        """The sum of the homogeneous pieces of codimension lo through hi."""
+        """The sum of the homogeneous pieces of codimension lo through hi.
+
+        Keys ascend by codimension: self when its first and last keys lie in
+        the cut, and otherwise the keys in it, found by bisection.
+        """
+        terms = self.terms
         place = self.ambient.codim_place
         low, high = lo * place, (hi + 1) * place
-        return CycleClass(self.ambient,
-                          {k: c for k, c in self.terms.items() if low <= k < high})
+        if not terms or low <= next(iter(terms)) and next(reversed(terms)) < high:
+            return self
+        keys = list(terms)
+        return CycleClass(self.ambient, {k: terms[k] for k in
+                                         keys[bisect_left(keys, low):bisect_left(keys, high)]})
 
     def component(self, codim: int) -> "CycleClass":
         """The homogeneous piece of the given codimension."""

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -49,19 +48,18 @@ from .charclass import ClassBundle3, milnor_pp
 from .strata import StratifiedHypersurface, gamma_weights
 
 
-@dataclass(frozen=True)
 class IntersectionScenario:
-    ambient: AmbientSpace
-    classes: tuple[ClassBundle3, ...]
+    __slots__ = ("ambient", "classes")
 
-    def __post_init__(self) -> None:
-        if len(self.classes) < 2:
+    def __init__(self, ambient: AmbientSpace, classes: tuple[ClassBundle3, ...]):
+        if len(classes) < 2:
             raise ValueError(
-                f"intersection formulas need r >= 2 hypersurfaces, got {len(self.classes)}")
-        for i, cb in enumerate(self.classes):
-            if not all(same_ambient(c.ambient, self.ambient)
-                       for c in (cb.virt, cb.csm, cb.milnor)):
+                f"intersection formulas need r >= 2 hypersurfaces, got {len(classes)}")
+        for i, cb in enumerate(classes):
+            if not all(same_ambient(c.ambient, ambient) for c in (cb.virt, cb.csm, cb.milnor)):
                 raise ValueError(f"member {i} has a class on a different ambient")
+        self.ambient = ambient
+        self.classes = classes
 
     @property
     def r(self) -> int:

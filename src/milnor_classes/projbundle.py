@@ -27,8 +27,6 @@ exact identities, degenerations, and synthetic frozen values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chow import AmbientSpace, CycleClass, ProjBundle, same_ambient, times_chern, twist_chern
 from .bundles import BundleClass, chern_roots, top_chern
 
@@ -49,9 +47,11 @@ def taut_sub_chern(ring: ProjBundle) -> BundleClass:
     return BundleClass(ring, ring.rank - 1, ring.sub_chern, ring.sub_roots)
 
 
-@dataclass(frozen=True)
 class TangentCheck:
-    ok: bool
+    __slots__ = ("ok",)
+
+    def __init__(self, ok: bool):
+        self.ok = ok
 
 
 def verify_tangent_identities(ring: ProjBundle) -> TangentCheck:
@@ -79,16 +79,16 @@ def lemma_transfer(f: BundleClass, cls: CycleClass) -> CycleClass:
     return times_chern(top_chern(f) * cls, chern_roots(f, -1))
 
 
-@dataclass(frozen=True)
 class GeneralCaseInput:
     """Base, bundle, and the Milnor class of the induced hypersurface."""
 
-    ring: ProjBundle
-    milnor_of_tilde: CycleClass
+    __slots__ = ("ring", "milnor_of_tilde")
 
-    def __post_init__(self) -> None:
-        if not same_ambient(self.milnor_of_tilde.ambient, self.ring):
+    def __init__(self, ring: ProjBundle, milnor_of_tilde: CycleClass):
+        if not same_ambient(milnor_of_tilde.ambient, ring):
             raise ValueError("milnor_of_tilde must live in the bundle ring")
+        self.ring = ring
+        self.milnor_of_tilde = milnor_of_tilde
 
 
 def milnor_general(inp: GeneralCaseInput) -> CycleClass:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Collection
 
@@ -180,39 +179,54 @@ def _parse_stratum(ambient: AmbientSpace, data: dict, lb: BundleClass,
                    contained_in=contained)
 
 
-@dataclass
 class HypersurfaceSpec:
-    name: str
-    hyp: StratifiedHypersurface | None       # None when only Le data is given
-    line_bundle: BundleClass
-    le: CycleClass | None                    # total Le class, sum of the Lambda_k
-    segre: CycleClass | None
-    oracle_csm: CycleClass | None
-    oracle_chi: int | None
-    expected: dict[str, int | CycleClass]    # "chi" -> int, other keys -> class
+    __slots__ = ("name", "hyp", "line_bundle", "le", "segre", "oracle_csm", "oracle_chi",
+                 "expected")
+
+    def __init__(self, name: str, hyp: StratifiedHypersurface | None,
+                 line_bundle: BundleClass, le: CycleClass | None, segre: CycleClass | None,
+                 oracle_csm: CycleClass | None, oracle_chi: int | None):
+        self.name = name
+        self.hyp = hyp                      # None when only Le data is given
+        self.line_bundle = line_bundle
+        self.le = le                        # total Le class, sum of the Lambda_k
+        self.segre = segre
+        self.oracle_csm = oracle_csm
+        self.oracle_chi = oracle_chi
+        self.expected: dict[str, int | CycleClass] = {}  # "chi" -> int, other keys -> class
 
 
-@dataclass
 class IntersectionSpec:
-    members: list[HypersurfaceSpec]          # the named hypersurfaces, in order
-    expected: CycleClass | None
-    support: list[CycleClass] | None
+    __slots__ = ("members", "expected", "support")
+
+    def __init__(self, members: list[HypersurfaceSpec], expected: CycleClass | None,
+                 support: list[CycleClass] | None):
+        self.members = members              # the named hypersurfaces, in order
+        self.expected = expected
+        self.support = support
 
 
-@dataclass
 class GeneralCaseSpec:
-    input: GeneralCaseInput
-    expected: CycleClass | None
+    __slots__ = ("input", "expected")
+
+    def __init__(self, input: GeneralCaseInput, expected: CycleClass | None):
+        self.input = input
+        self.expected = expected
 
 
-@dataclass
 class Scenario:
-    name: str
-    ambient: AmbientSpace
-    hypersurfaces: list[HypersurfaceSpec]
-    intersection: IntersectionSpec | None
-    general_case: GeneralCaseSpec | None
-    tasks: list[str]                         # TASK_KINDS entries, in report order
+    __slots__ = ("name", "ambient", "hypersurfaces", "intersection", "general_case", "tasks")
+
+    def __init__(self, name: str, ambient: AmbientSpace,
+                 hypersurfaces: list[HypersurfaceSpec],
+                 intersection: IntersectionSpec | None, general_case: GeneralCaseSpec | None,
+                 tasks: list[str]):
+        self.name = name
+        self.ambient = ambient
+        self.hypersurfaces = hypersurfaces
+        self.intersection = intersection
+        self.general_case = general_case
+        self.tasks = tasks                  # TASK_KINDS entries, in report order
 
 
 def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
@@ -280,7 +294,7 @@ def _parse_hypersurface(ambient: AmbientSpace, hdata: Any,
     oracle_chi = (None if "chi" not in oracle else
                   _int(oracle["chi"], f"{fieldpath}.oracle.chi"))
     spec = HypersurfaceSpec(name=hname, hyp=hyp, line_bundle=lb, le=le, segre=segre,
-                            oracle_csm=oracle_csm, oracle_chi=oracle_chi, expected={})
+                            oracle_csm=oracle_csm, oracle_chi=oracle_chi)
     epath = f"{fieldpath}.expected"
     expected = _keyed(hdata.get("expected", {}), RESULT_ROUTES, epath, "result key")
     for key, want in sorted(expected.items()):
@@ -397,20 +411,24 @@ def load_scenario_file(path: str | Path) -> Scenario:
 # -- report --------------------------------------------------------------------
 
 
-@dataclass
 class ReportSection:
-    kind: str
-    title: str
-    results: dict[str, str] = field(default_factory=dict)
-    verdicts: dict[str, bool] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("kind", "title", "results", "verdicts", "notes")
+
+    def __init__(self, kind: str, title: str):
+        self.kind = kind
+        self.title = title
+        self.results: dict[str, str] = {}
+        self.verdicts: dict[str, bool] = {}
+        self.notes: list[str] = []
 
 
-@dataclass
 class ScenarioReport:
-    name: str
-    sections: list[ReportSection] = field(default_factory=list)
-    timing_ms: float | None = None
+    __slots__ = ("name", "sections", "timing_ms")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.sections: list[ReportSection] = []
+        self.timing_ms: float | None = None
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,7 @@ covers); validation enforces transitivity and strict dimension increase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable
 
 from .chow import AmbientSpace, CycleClass, ProjSpace, line_twist, same_ambient
 from .bundles import BundleClass
@@ -24,17 +24,19 @@ class StratificationError(ValueError):
     """Inconsistent stratification data."""
 
 
-@dataclass(frozen=True)
 class Stratum:
-    name: str
-    dim: int
-    milnor_fiber_chi: int
-    closure_class: CycleClass
-    csm_closure: CycleClass | None = None
-    contained_in: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ("name", "dim", "milnor_fiber_chi", "closure_class", "csm_closure",
+                 "contained_in")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "contained_in", frozenset(self.contained_in))
+    def __init__(self, name: str, dim: int, milnor_fiber_chi: int,
+                 closure_class: CycleClass, csm_closure: CycleClass | None = None,
+                 contained_in: Iterable[str] = ()):
+        self.name = name
+        self.dim = dim
+        self.milnor_fiber_chi = milnor_fiber_chi
+        self.closure_class = closure_class
+        self.csm_closure = csm_closure
+        self.contained_in = frozenset(contained_in)
 
 
 def point_closure(ambient: AmbientSpace, count: int = 1) -> tuple[CycleClass, CycleClass]:
@@ -61,20 +63,25 @@ def linear_closure(ambient: AmbientSpace, m: int) -> tuple[CycleClass, CycleClas
     return cls, line_twist(cls, h, n + 1)
 
 
-@dataclass(frozen=True)
 class StratifiedHypersurface:
     """A hypersurface X = Z(s) of a line bundle, with its stratification.
 
     Exactly one stratum is open (dim = ambient dim - 1, trivial Milnor
-    fibre, contained in nothing).  Singular strata need csm_closure data;
-    the open stratum's csm_closure is optional oracle input, since the CSM
-    class of X itself is what the calculator derives.
+    fibre, contained in nothing), and its closure class is c1 of the line
+    bundle.  Singular strata need csm_closure data.  The open stratum's
+    csm_closure may be given and is checked like any other, but no route
+    reads it: the CSM class of X itself is what the calculator derives.
     """
 
-    name: str
-    ambient: AmbientSpace
-    line_bundle: BundleClass
-    strata: tuple[Stratum, ...]
+    __slots__ = ("name", "ambient", "line_bundle", "strata")
+
+    def __init__(self, name: str, ambient: AmbientSpace, line_bundle: BundleClass,
+                 strata: tuple[Stratum, ...]):
+        self.name = name
+        self.ambient = ambient
+        self.line_bundle = line_bundle
+        self.strata = strata
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.line_bundle.rank != 1:
@@ -146,6 +153,11 @@ class StratifiedHypersurface:
                     f"{self.name}: csm_closure of {s.name} differs from its closure class "
                     f"in codimension {k}; it must equal the closure class in codimension "
                     f"{codim} and vanish below")
+        if open_stratum.closure_class != self.line_bundle.c1():
+            raise StratificationError(
+                f"{self.name}: closure class of the open stratum {open_stratum.name} is "
+                f"{open_stratum.closure_class.render()}, expected c1 of the line bundle, "
+                f"{self.line_bundle.c1().render()}")
 
     @property
     def open_stratum(self) -> Stratum:

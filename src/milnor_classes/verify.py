@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -445,12 +444,14 @@ SUITES: dict[str, list[tuple[str, Callable, int]]] = {
 }
 
 
-@dataclass
 class PropertyResult:
-    suite: str
-    name: str
-    cases: int
-    failure: str | None = None
+    __slots__ = ("suite", "name", "cases", "failure")
+
+    def __init__(self, suite: str, name: str, cases: int, failure: str | None):
+        self.suite = suite
+        self.name = name
+        self.cases = cases
+        self.failure = failure
 
     @property
     def ok(self) -> bool:

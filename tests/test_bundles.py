@@ -29,6 +29,15 @@ P2 = ProjSpace(2)
 P3 = ProjSpace(3)
 
 
+def test_equality_reads_ambient_rank_and_chern_not_roots():
+    e = direct_sum(line_bundle(P2, 1), line_bundle(P2, 2))
+    assert e == BundleClass(P2, 2, e.chern)
+    assert e != BundleClass(P2, 3, e.chern)
+    assert e != direct_sum(line_bundle(P2, 1), line_bundle(P2, 1))
+    assert e != direct_sum(line_bundle(P3, 1), line_bundle(P3, 2))
+    assert e != e.chern
+
+
 class TestConstructors:
     def test_line_bundle_p2(self):
         l = line_bundle(P2, 3)

@@ -12,6 +12,7 @@ import pytest
 from milnor_classes.chow import ProjSpace, line_twist
 from milnor_classes.bundles import direct_sum, line_bundle, top_chern
 from milnor_classes.charclass import (
+    ClassBundle3,
     aluffi_milnor,
     csm_from_milnor,
     hypersurface_classes,
@@ -134,6 +135,17 @@ class TestDefinitionIdentity:
                     SMOOTH_QUARTIC):
             cb = hypersurface_classes(hyp)
             assert cb.definition_identity_holds()
+
+    def test_triple_equality_reads_the_classes_not_the_strata(self):
+        cb = hypersurface_classes(NODAL_CUBIC)
+        bare = ClassBundle3(cb.virt, cb.csm, cb.milnor)
+        assert cb.hyp is NODAL_CUBIC and bare.hyp is None
+        assert cb == bare
+        zero = P2.zero()
+        for changed in (ClassBundle3(zero, cb.csm, cb.milnor),
+                        ClassBundle3(cb.virt, zero, cb.milnor),
+                        ClassBundle3(cb.virt, cb.csm, zero)):
+            assert cb != changed
 
     def test_csm_from_milnor_examples(self):
         h = P2.gen(0)

@@ -9,7 +9,12 @@ seeded stream of random classes:
 * `from_coeffs(a.coeffs) == a`, and a key decodes to its monomial;
 * `terms` is in ascending key order after every constructor, sums of
   classes with interleaved keys included;
-* `part(lo, hi)` is the filter lo <= sum(m) <= hi on exponent tuples;
+* `part(lo, hi)` is the filter lo <= sum(m) <= hi on exponent tuples,
+  for empty and out-of-range cuts too, and a class inside the cut is
+  returned as it is;
+* `_is_root` and `check_chern`, which read only the first and last keys
+  and the key 0, accept and reject what scans of every monomial do, and a
+  rejection names the same codimension;
 * `pullback` is m -> m + (0,), and `pushforward` keeps m[:-1] where
   m[-1] == r - 1;
 * `dual` flips the sign where sum(m) is odd, and `degree` reads the
@@ -21,7 +26,15 @@ from itertools import product
 
 import pytest
 
-from milnor_classes.chow import ProjBundle, divide, line_twist, parse_class, times_chern
+from milnor_classes.chow import (
+    ProjBundle,
+    _is_root,
+    check_chern,
+    divide,
+    line_twist,
+    parse_class,
+    times_chern,
+)
 from test_graded_kernels import RINGS
 
 SEEDS = range(3)
@@ -105,16 +118,75 @@ def test_sums_with_interleaved_keys_are_sorted():
             assert total.coeffs == want
 
 
+
+
+def _graded_samples(ambient, seed):
+    """Random classes, their pieces and 1 + their positive parts, the zero
+    class and the class 1."""
+    out = [ambient.zero(), ambient.one()]
+    for a in _classes(ambient, seed):
+        out += [a, a.component(1), a.component(1) + a.component(0),
+                a.component(1) + a.part(2, 2), ambient.one() + _no_unit(a)]
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(RINGS))
 def test_part_is_the_degree_filter(name):
     ambient = RINGS[name]
     dim = ambient.dimension
-    for a in _classes(ambient, 0):
-        for lo in range(dim + 1):
-            for hi in range(lo, dim + 2):
-                want = {m: c for m, c in a.coeffs.items() if lo <= sum(m) <= hi}
-                assert a.part(lo, hi).coeffs == want
-            assert a.component(lo) == a.part(lo, lo)
+    for a in (a for seed in SEEDS for a in _graded_samples(ambient, seed)):
+        for lo in range(-2, dim + 3):
+            for hi in range(-2, dim + 3):  # lo > hi and cuts past either end too
+                cut = a.part(lo, hi)
+                assert cut.coeffs == {m: c for m, c in a.coeffs.items() if lo <= sum(m) <= hi}
+                assert _ascending(cut)
+                if all(lo <= sum(m) <= hi for m in a.coeffs):
+                    assert cut is a
+        for k in range(dim + 1):
+            assert a.component(k) == a.part(k, k)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_is_root_matches_a_scan(name, seed):
+    ambient = RINGS[name]
+    seen = set()
+    for a in _graded_samples(ambient, seed):
+        want = all(sum(m) == 1 for m in a.coeffs)
+        assert _is_root(a) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def _scan_chern_error(ambient, rank, chern):
+    """The message check_chern must raise, found by scanning every monomial."""
+    degrees = {m: sum(m) for m in chern.coeffs}
+    if [c for m, c in chern.coeffs.items() if degrees[m] == 0] != [1]:
+        return "total Chern class must start with 1"
+    above = [d for d in degrees.values() if d > rank]
+    if above:
+        return f"Chern class has a nonzero part in codimension {min(above)} > rank {rank}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_check_chern_matches_a_scan(name, seed):
+    ambient = RINGS[name]
+    dim = ambient.dimension
+    seen = set()
+    for a in _graded_samples(ambient, seed):
+        for chern in (a, ambient.one() + _no_unit(a)):
+            for rank in range(dim + 2):
+                want = _scan_chern_error(ambient, rank, chern)
+                seen.add(want is None)
+                if want is None:
+                    check_chern(ambient, rank, chern)
+                else:
+                    with pytest.raises(ValueError) as err:
+                        check_chern(ambient, rank, chern)
+                    assert str(err.value) == want
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))

@@ -1,10 +1,13 @@
 """`chow` owns Chern-class arithmetic: it imports nothing from the package,
-and its key-level kernels are named in no other module of the package."""
+and its key-level kernels are named in no other module of the package.
+No module of the package imports `dataclasses`, whose import and class
+generation a `compute` process would pay at start-up."""
 
 import ast
 from pathlib import Path
 
 import milnor_classes
+from test_stdlib_only import top_level_imports
 
 PACKAGE = Path(milnor_classes.__file__).parent
 KERNEL_NAMES = {"add_products", "settle", "divide", "_binomial_series", "codim_place",
@@ -57,3 +60,9 @@ def test_kernels_are_named_only_in_chow():
     outside = {f"{path.name}: {name}" for path in modules if path.name != "chow.py"
                for name in named(path.read_text()) & KERNEL_NAMES}
     assert not outside
+
+
+def test_no_module_imports_dataclasses():
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "dataclasses" in top_level_imports(path.read_text())]
+    assert not users

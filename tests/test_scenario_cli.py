@@ -483,6 +483,11 @@ INPUT_ERRORS = [
     ("csm-closure-override-below-class", "nodal_cubic_p2",
      _set(("hypersurfaces", 0, "strata", 1, "csm_closure"), "h + h^2"),
      "hypersurfaces[0].strata"),
+    # the open stratum's closure is the hypersurface, of class c1(L); a
+    # closure of another class used to exit 0 with summary PASS
+    ("open-closure-not-c1", "nodal_cubic_p2",
+     _set(("hypersurfaces", 0, "strata", 0, "closure"), {"class": "2*h", "csm": "2*h + h^2"}),
+     "hypersurfaces[0].strata"),
 ]
 
 
